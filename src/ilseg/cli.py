@@ -22,6 +22,7 @@ from pathlib import Path
 
 from . import data as D
 from . import metrics as ME
+from . import model as M
 from . import report as R
 from . import trainer as TR
 from .model import ModelConfig
@@ -215,7 +216,8 @@ def cmd_eval(args) -> int:
             raise CategoryMismatchError(
                 f"category {cid} is {name!r} in {args.manifest} but {ckpt.categories[cid]!r} in the checkpoint"
             )
-    model = TR.model_from_checkpoint(ckpt)
+    # a frozen copy runs the same forward without recording backward closures
+    model = M.clone_frozen(TR.model_from_checkpoint(ckpt))
     rep = ME.evaluate(model, args.manifest, split=args.split, stage=ckpt.stage)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)

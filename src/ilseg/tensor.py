@@ -297,11 +297,12 @@ def neg(a: Tensor) -> Tensor:
 def relu(a: Tensor) -> Tensor:
     """max(x, 0); the subgradient at exactly 0 is taken as 0."""
     _check_finite("relu", a)
-    mask = a.data > 0
-    out = np.where(mask, a.data, a.data.dtype.type(0))
+    # fmax drops NaN in favour of 0; adding +0 turns -0.0 into +0.0
+    out = np.fmax(a.data, 0)
+    out += 0
 
     def vjp(g):
-        return (g * mask,)
+        return (g * (out > 0),)
 
     return _wrap(out, "relu", (a,), vjp)
 
@@ -606,12 +607,40 @@ def _im2col(xp: np.ndarray, k: int, stride: int, ho: int, wo: int) -> np.ndarray
     return view.reshape(b, c * k * k, ho * wo)
 
 
+def _col2im_pitched(gcols: np.ndarray, k: int, padding: int, h: int, w: int, ho: int, wo: int) -> np.ndarray:
+    """Input adjoint of a stride-1 convolution with wo >= w (2 * padding >= k - 1).
+
+    Sums the patch adjoints `gcols` (B, Cin*k*k, ho*wo) into the padded
+    input in the same tap order as k*k strided adds, but over a pitched
+    layout: each padded plane is stored flat with row pitch wo instead of
+    w + 2p, plus k - 1 trailing slots. Padded pixel (y, x) then sits at
+    y * wo + x, so tap (i, j) of output position q = oy * wo + ox lands on
+    q + i * wo + j and every tap is one contiguous add. Padded columns
+    x >= wo wrap onto the next row, so the patch entries of pad columns
+    are zeroed first; adding +0.0 leaves every sum bit for bit unchanged.
+    Returns a (B, Cin, h, w) view of the unpadded pixels.
+    """
+    b, n = gcols.shape[0], ho * wo
+    taps = gcols.reshape(b, -1, k, k, ho, wo)
+    for j in range(k):
+        taps[:, :, :, j, :, : max(padding - j, 0)] = 0
+        taps[:, :, :, j, :, max(padding + w - j, 0) :] = 0
+    taps = gcols.reshape(b, -1, k * k, n)
+    gxp = np.zeros((b, taps.shape[1], (h + 2 * padding) * wo + k - 1), dtype=gcols.dtype)
+    for t in range(k * k):
+        off = (t // k) * wo + t % k
+        gxp[:, :, off : off + n] += taps[:, :, t]
+    start = padding * wo + padding
+    return gxp[:, :, start : start + h * wo].reshape(b, -1, h, wo)[..., :w]
+
+
 def conv2d(x: Tensor, w: Tensor, bias: Tensor | None = None, stride: int = 1, padding: int = 0) -> Tensor:
     """2-d convolution (cross-correlation), zero padded.
 
     `x` is (B, Cin, H, W), `w` (Cout, Cin, k, k), optional `bias` (Cout,).
     The forward pass lowers patches to a matrix product, which computes
-    the exact direct convolution.
+    the exact direct convolution. The input adjoint is only formed when
+    `x` requires a gradient.
     """
     if x.data.ndim != 4 or w.data.ndim != 4:
         raise ShapeError(f"conv2d: expected 4-d input and kernel, got {x.data.shape} and {w.data.shape}")
@@ -633,7 +662,8 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor | None = None, stride: int = 1, pa
     _check_finite("conv2d", x, w, *( [bias] if bias is not None else [] ))
 
     if padding:
-        xp = np.pad(x.data, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+        xp = np.zeros((b, cin, h + 2 * padding, wdt + 2 * padding), dtype=x.data.dtype)
+        xp[:, :, padding : padding + h, padding : padding + wdt] = x.data
     else:
         xp = x.data
     ho = (h + 2 * padding - k) // stride + 1
@@ -642,18 +672,26 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor | None = None, stride: int = 1, pa
     w2 = w.data.reshape(cout, cin * k * k)
     out = np.matmul(w2[None], cols).reshape(b, cout, ho, wo)
     if bias is not None:
-        out = out + bias.data[None, :, None, None]
+        out += bias.data[:, None, None]
+    need_gx = x.requires_grad
 
     def vjp(g):
         g2 = g.reshape(b, cout, ho * wo)
         cols_b = _im2col(xp, k, stride, ho, wo)
         gw = np.matmul(g2, cols_b.transpose(0, 2, 1)).sum(axis=0).reshape(cout, cin, k, k)
-        gcols = np.matmul(w2.T[None], g2).reshape(b, cin, k, k, ho, wo)
-        gxp = np.zeros_like(xp)
-        for i in range(k):
-            for j in range(k):
-                gxp[:, :, i : i + stride * ho : stride, j : j + stride * wo : stride] += gcols[:, :, i, j]
-        gx = gxp[:, :, padding : padding + h, padding : padding + wdt] if padding else gxp
+        gx = None
+        if need_gx:
+            # the patch adjoint has the patches' shape; their copy is free now
+            gcols = np.matmul(w2.T[None], g2, out=cols_b if cols_b.flags.writeable else None)
+            if stride == 1 and wo >= wdt:
+                gx = _col2im_pitched(gcols, k, padding, h, wdt, ho, wo)
+            else:
+                gcols = gcols.reshape(b, cin, k, k, ho, wo)
+                gxp = np.zeros_like(xp)
+                for i in range(k):
+                    for j in range(k):
+                        gxp[:, :, i : i + stride * ho : stride, j : j + stride * wo : stride] += gcols[:, :, i, j]
+                gx = gxp[:, :, padding : padding + h, padding : padding + wdt] if padding else gxp
         if bias is not None:
             return gx, gw, g.sum(axis=(0, 2, 3))
         return gx, gw
@@ -688,21 +726,33 @@ def instance_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> 
     _check_finite("instance_norm", x, gamma, beta)
     n = h * w
     mu = x.data.mean(axis=(2, 3), keepdims=True)
-    var = x.data.var(axis=(2, 3), keepdims=True)
+    # the centred values and variance come from np.var's own sequence of
+    # operations, so the statistics match np.var bit for bit
+    xhat = x.data - mu
+    out = np.square(xhat)
+    var = np.add.reduce(out, axis=(2, 3), keepdims=True)
+    np.true_divide(var, np.intp(n), out=var, casting="unsafe")
     inv_std = 1.0 / np.sqrt(var + x.data.dtype.type(eps))
-    xhat = (x.data - mu) * inv_std
-    out = gamma.data[None, :, None, None] * xhat + beta.data[None, :, None, None]
+    xhat *= inv_std
+    np.multiply(xhat, gamma.data[None, :, None, None], out=out)
+    out += beta.data[None, :, None, None]
     gd = gamma.data
 
     def vjp(g):
-        gxhat = g * gd[None, :, None, None]
         # standard normalization backward; the mean-of-xhat term vanishes
         # analytically but is kept for numerical agreement with FD
-        s1 = gxhat.sum(axis=(2, 3), keepdims=True)
-        s2 = (gxhat * xhat).sum(axis=(2, 3), keepdims=True)
-        gx = (gxhat - s1 / n - xhat * s2 / n) * inv_std
-        ggamma = (g * xhat).sum(axis=(0, 2, 3))
+        gx = g * gd[None, :, None, None]
+        s1 = gx.sum(axis=(2, 3), keepdims=True)
+        tmp = gx * xhat
+        s2 = tmp.sum(axis=(2, 3), keepdims=True)
+        ggamma = np.multiply(g, xhat, out=tmp).sum(axis=(0, 2, 3))
         gbeta = g.sum(axis=(0, 2, 3))
+        # (gxhat - s1 / n - xhat * s2 / n) * inv_std, in that order
+        np.multiply(xhat, s2, out=tmp)
+        tmp /= n
+        gx -= s1 / n
+        gx -= tmp
+        gx *= inv_std
         return gx, ggamma, gbeta
 
     return _wrap(out, "instance_norm", (x, gamma, beta), vjp)

@@ -28,6 +28,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -294,6 +295,10 @@ def _derive_seed(seed: int, *key: int) -> int:
 
 
 def save_checkpoint(ckpt: Checkpoint, path: Path | str) -> None:
+    """Write `ckpt` atomically: the bytes go to a temporary file in the
+    same directory, which then replaces `path`. An interrupted or failed
+    write leaves any earlier file at `path` untouched. The file is not
+    fsynced, so a power loss may still lose the newest checkpoint."""
     blocks: list[tuple[str, np.ndarray]] = []
     for name in sorted(ckpt.params):
         blocks.append((f"param/{name}", ckpt.params[name].astype("<f4", copy=False)))
@@ -303,15 +308,15 @@ def save_checkpoint(ckpt: Checkpoint, path: Path | str) -> None:
     for name in sorted(opt.get("v", {})):
         blocks.append((f"opt/v/{name}", opt["v"][name].astype("<f4", copy=False)))
     blocks.append(("bank/prototypes", ckpt.bank.prototypes.astype("<f8", copy=False)))
+    # order="C" keeps the rank of 0-d arrays, which ascontiguousarray would not
+    blocks = [(name, np.asarray(arr, order="C")) for name, arr in blocks]
 
-    payload = bytearray()
+    digest = hashlib.sha256()
     table = []
     for name, arr in blocks:
-        raw = np.ascontiguousarray(arr).tobytes(order="C")
-        payload += struct.pack("<I", len(raw))
-        payload += raw
+        digest.update(struct.pack("<I", arr.nbytes))
+        digest.update(arr)
         table.append({"name": name, "shape": list(arr.shape), "dtype": str(arr.dtype.name)})
-    digest = hashlib.sha256(bytes(payload)).hexdigest()
     header = {
         "version": ckpt.version,
         "stage": ckpt.stage,
@@ -336,15 +341,79 @@ def save_checkpoint(ckpt: Checkpoint, path: Path | str) -> None:
             "total": ckpt.bank.total,
         },
         "blocks": table,
-        "checksum": digest,
+        "checksum": digest.hexdigest(),
     }
     head = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    out = bytearray()
-    out += CKPT_MAGIC
-    out += struct.pack("<II", ckpt.version, len(head))
-    out += head
-    out += payload
-    Path(path).write_bytes(bytes(out))
+    # one temporary name per process; os.replace is atomic within a directory
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(CKPT_MAGIC + struct.pack("<II", ckpt.version, len(head)) + head)
+            for _, arr in blocks:
+                fh.write(struct.pack("<I", arr.nbytes))
+                fh.write(arr)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+# JSON types of every header field, and of the fields of its nested objects
+_HEADER_FIELDS = {
+    "version": int,
+    "stage": int,
+    "mode": str,
+    "registry": list,
+    "categories": dict,
+    "model_config": dict,
+    "stage_config": dict,
+    "seed": int,
+    "completed_epochs": int,
+    "total_epochs": int,
+    "log_path": (str, type(None)),
+    "optimizer": dict,
+    "bank": dict,
+    "blocks": list,
+    "checksum": str,
+}
+_OPTIMIZER_FIELDS = {"algo": str, "step": int}
+_BANK_FIELDS = {
+    "feature_channels": int,
+    "category_ids": list,
+    "initialized": list,
+    "frozen": list,
+    "m0": (int, float),
+    "p": (int, float),
+    "k": int,
+    "total": int,
+}
+_BLOCK_FIELDS = {"name": str, "shape": list, "dtype": str}
+_BLOCK_DTYPES = ("float32", "float64")
+
+
+def _check_fields(path, where: str, obj, fields: Mapping) -> None:
+    if not isinstance(obj, dict):
+        raise CheckpointFormatError(f"{path}: {where} is not an object")
+    for key, kind in fields.items():
+        if key not in obj:
+            raise CheckpointFormatError(f"{path}: {where} lacks {key!r}")
+        if not isinstance(obj[key], kind):
+            raise CheckpointFormatError(f"{path}: {where} field {key!r} has type {type(obj[key]).__name__}")
+
+
+def _check_header(path, header) -> None:
+    _check_fields(path, "header", header, _HEADER_FIELDS)
+    _check_fields(path, "header optimizer", header["optimizer"], _OPTIMIZER_FIELDS)
+    _check_fields(path, "header bank", header["bank"], _BANK_FIELDS)
+    for i, entry in enumerate(header["blocks"]):
+        _check_fields(path, f"header block {i}", entry, _BLOCK_FIELDS)
+        if entry["dtype"] not in _BLOCK_DTYPES:
+            raise CheckpointFormatError(f"{path}: block {entry['name']!r} has unsupported dtype {entry['dtype']!r}")
+        if not all(isinstance(n, int) and n >= 0 for n in entry["shape"]):
+            raise CheckpointFormatError(f"{path}: block {entry['name']!r} has a malformed shape")
+    if "bank/prototypes" not in {entry["name"] for entry in header["blocks"]}:
+        raise CheckpointFormatError(f"{path}: no bank/prototypes block")
 
 
 def load_checkpoint(path: Path | str) -> Checkpoint:
@@ -358,7 +427,11 @@ def load_checkpoint(path: Path | str) -> Checkpoint:
         raise CheckpointVersionError(f"{path}: unsupported checkpoint version {version}")
     if len(raw) < off + head_len:
         raise CheckpointFormatError(f"{path}: truncated header")
-    header = json.loads(raw[off : off + head_len].decode("utf-8"))
+    try:
+        header = json.loads(raw[off : off + head_len].decode("utf-8"))
+    except ValueError as e:
+        raise CheckpointFormatError(f"{path}: header is not UTF-8 JSON: {e}") from None
+    _check_header(path, header)
     off += head_len
     payload = raw[off:]
     digest = hashlib.sha256(payload).hexdigest()
@@ -375,7 +448,10 @@ def load_checkpoint(path: Path | str) -> Checkpoint:
         if len(buf) != nbytes:
             raise CheckpointFormatError(f"{path}: truncated block {entry['name']}")
         pos += nbytes
-        arrays[entry["name"]] = np.frombuffer(buf, dtype=entry["dtype"]).reshape(entry["shape"]).copy()
+        dtype = np.dtype(entry["dtype"])
+        if nbytes != dtype.itemsize * math.prod(entry["shape"]):
+            raise CheckpointFormatError(f"{path}: block {entry['name']} holds {nbytes} bytes, not shape {entry['shape']}")
+        arrays[entry["name"]] = np.frombuffer(buf, dtype=dtype).reshape(entry["shape"]).copy()
     params = {k[len("param/") :]: v for k, v in arrays.items() if k.startswith("param/")}
     opt_state = {
         "algo": header["optimizer"]["algo"],
@@ -384,23 +460,29 @@ def load_checkpoint(path: Path | str) -> Checkpoint:
         "v": {k[len("opt/v/") :]: v for k, v in arrays.items() if k.startswith("opt/v/")},
     }
     bank_meta = header["bank"]
-    bank = Mem.MemoryBank(
-        feature_channels=bank_meta["feature_channels"],
-        category_ids=[int(c) for c in bank_meta["category_ids"]],
-        prototypes=arrays["bank/prototypes"].astype(np.float64),
-        initialized=np.array(bank_meta["initialized"], dtype=bool),
-        frozen=np.array(bank_meta["frozen"], dtype=bool),
-        m0=bank_meta["m0"],
-        p=bank_meta["p"],
-        k=bank_meta["k"],
-        total=bank_meta["total"],
-    )
+    try:
+        model_config = ModelConfig.from_dict(header["model_config"])
+        bank = Mem.MemoryBank(
+            feature_channels=bank_meta["feature_channels"],
+            category_ids=[int(c) for c in bank_meta["category_ids"]],
+            prototypes=arrays["bank/prototypes"].astype(np.float64),
+            initialized=np.array(bank_meta["initialized"], dtype=bool),
+            frozen=np.array(bank_meta["frozen"], dtype=bool),
+            m0=bank_meta["m0"],
+            p=bank_meta["p"],
+            k=bank_meta["k"],
+            total=bank_meta["total"],
+        )
+        registry = tuple(int(c) for c in header["registry"])
+        categories = {int(k): v for k, v in header["categories"].items()}
+    except (TypeError, ValueError) as e:
+        raise CheckpointFormatError(f"{path}: malformed header: {e}") from None
     return Checkpoint(
         stage=header["stage"],
         mode=header["mode"],
-        registry=tuple(int(c) for c in header["registry"]),
-        categories={int(k): v for k, v in header["categories"].items()},
-        model_config=ModelConfig.from_dict(header["model_config"]),
+        registry=registry,
+        categories=categories,
+        model_config=model_config,
         params=params,
         optimizer=opt_state,
         bank=bank,
@@ -531,6 +613,10 @@ def _sample_background(
     return mask
 
 
+# The teacher's pseudo-labels are cached as uint8 channel indices.
+_TEACHER_MAX_CHANNELS = 256
+
+
 def run_stage(
     prev: Checkpoint | None,
     cfg: StageConfig,
@@ -569,6 +655,10 @@ def run_stage(
         space = L.LabelSpace(old=(), new=cfg.new_categories)
     else:
         prev_model = model_from_checkpoint(prev)
+        if prev_model.n_categories + 1 > _TEACHER_MAX_CHANNELS:
+            raise ValueError(
+                f"the previous head has {prev_model.n_categories + 1} channels; pseudo-labels hold at most {_TEACHER_MAX_CHANNELS}"
+            )
         frozen = M.clone_frozen(prev_model)
         model = M.expand_head(prev_model, cfg.new_categories, seed=_derive_seed(cfg.seed, 29, cfg.stage))
         bank = prev.bank.copy()
@@ -613,7 +703,7 @@ def run_stage(
                     fl = f_logits.data
                     ex = np.exp(fl - fl.max(axis=1, keepdims=True))
                     old_probs = ex / ex.sum(axis=1, keepdims=True)
-                    old_argmax = old_probs.argmax(axis=1)
+                    old_argmax = old_probs.argmax(axis=1).astype(np.uint8)
                     if not cfg.augment:
                         for j, i in enumerate(idx):
                             frozen_cache[i] = (old_probs[j : j + 1].copy(), old_argmax[j : j + 1].copy())

@@ -150,3 +150,85 @@ def mem_loss_oracle(prototypes: np.ndarray, rows: np.ndarray, head_w: np.ndarray
         logp = shifted - math.log(float(np.exp(shifted).sum()))
         total -= float(logp[row + 1])  # channel 0 is background
     return total / len(rows)
+
+
+# ---------------------------------------------------------------------------
+# Reference forward/vjp pairs for the conv block primitives, kept exactly as
+# the straightforward lowering wrote them: np.pad, a fresh im2col in each
+# pass, k*k strided scatter-adds for the input adjoint, np.where for relu
+# and the textbook instance-norm expressions. The production primitives
+# must reproduce every output and adjoint bit for bit. Each returns
+# (out, vjp) with vjp(g) -> tuple of parent adjoints.
+
+
+def _im2col_oracle(xp, k, stride, ho, wo):
+    b, c = xp.shape[:2]
+    s = xp.strides
+    view = np.lib.stride_tricks.as_strided(
+        xp,
+        shape=(b, c, k, k, ho, wo),
+        strides=(s[0], s[1], s[2], s[3], s[2] * stride, s[3] * stride),
+        writeable=False,
+    )
+    return view.reshape(b, c * k * k, ho * wo)
+
+
+def conv2d_oracle(x, w, bias=None, stride=1, padding=0):
+    b, cin, h, wdt = x.shape
+    cout, _, k, _ = w.shape
+    if padding:
+        xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    else:
+        xp = x
+    ho = (h + 2 * padding - k) // stride + 1
+    wo = (wdt + 2 * padding - k) // stride + 1
+    cols = _im2col_oracle(xp, k, stride, ho, wo)
+    w2 = w.reshape(cout, cin * k * k)
+    out = np.matmul(w2[None], cols).reshape(b, cout, ho, wo)
+    if bias is not None:
+        out = out + bias[None, :, None, None]
+
+    def vjp(g):
+        g2 = g.reshape(b, cout, ho * wo)
+        cols_b = _im2col_oracle(xp, k, stride, ho, wo)
+        gw = np.matmul(g2, cols_b.transpose(0, 2, 1)).sum(axis=0).reshape(cout, cin, k, k)
+        gcols = np.matmul(w2.T[None], g2).reshape(b, cin, k, k, ho, wo)
+        gxp = np.zeros_like(xp)
+        for i in range(k):
+            for j in range(k):
+                gxp[:, :, i : i + stride * ho : stride, j : j + stride * wo : stride] += gcols[:, :, i, j]
+        gx = gxp[:, :, padding : padding + h, padding : padding + wdt] if padding else gxp
+        if bias is not None:
+            return gx, gw, g.sum(axis=(0, 2, 3))
+        return gx, gw
+
+    return out, vjp
+
+
+def instance_norm_oracle(x, gamma, beta, eps=1e-5):
+    b, c, h, w = x.shape
+    n = h * w
+    mu = x.mean(axis=(2, 3), keepdims=True)
+    var = x.var(axis=(2, 3), keepdims=True)
+    inv_std = 1.0 / np.sqrt(var + x.dtype.type(eps))
+    xhat = (x - mu) * inv_std
+    out = gamma[None, :, None, None] * xhat + beta[None, :, None, None]
+
+    def vjp(g):
+        gxhat = g * gamma[None, :, None, None]
+        s1 = gxhat.sum(axis=(2, 3), keepdims=True)
+        s2 = (gxhat * xhat).sum(axis=(2, 3), keepdims=True)
+        gx = (gxhat - s1 / n - xhat * s2 / n) * inv_std
+        return gx, (g * xhat).sum(axis=(0, 2, 3)), g.sum(axis=(0, 2, 3))
+
+    return out, vjp
+
+
+def relu_oracle(x):
+    mask = x > 0
+    out = np.where(mask, x, x.dtype.type(0))
+
+    def vjp(g):
+        return (g * mask,)
+
+    return out, vjp

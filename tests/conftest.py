@@ -1,5 +1,7 @@
 """Shared fixtures: a tiny four-stage dataset and stage-run helpers."""
 
+import json
+import struct
 from pathlib import Path
 
 import pytest
@@ -72,3 +74,15 @@ def run_until_crash(runner, prev, cfg, run_dir, crash_after):
             runner(prev, cfg, run_dir=Path(run_dir))
     finally:
         TR.save_checkpoint = real_save
+
+
+def rewrite_checkpoint_header(src, dst, edit):
+    """Copy a checkpoint with its JSON header changed by `edit` (the
+    payload checksum does not cover the header)."""
+    raw = Path(src).read_bytes()
+    _, head_len = struct.unpack_from("<II", raw, 8)
+    header = json.loads(raw[16 : 16 + head_len])
+    edit(header)
+    head = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+    Path(dst).write_bytes(raw[:8] + struct.pack("<II", 1, len(head)) + head + raw[16 + head_len :])
+    return dst

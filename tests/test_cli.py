@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import rewrite_checkpoint_header
 from ilseg import cli as CLI
 
 BASE_DATA = {
@@ -236,6 +237,25 @@ def test_eval_missing_checkpoint(experiment, tmp_path):
         "--manifest", str(root / "data" / "full" / "manifest.json"),
         "--out", str(tmp_path / "e.csv"),
     ]) == 2
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [(lambda h: h.pop("bank"), "lacks 'bank'"), (lambda h: h["blocks"][0].pop("dtype"), "lacks 'dtype'")],
+)
+def test_eval_malformed_checkpoint_header_exits_2(experiment, tmp_path, capsys, edit, message):
+    root, _ = experiment
+    bad = rewrite_checkpoint_header(root / "runs" / "full" / "stage_1.ckpt", tmp_path / "bad.ckpt", edit)
+    assert CLI.main([
+        "eval",
+        "--checkpoint", str(bad),
+        "--manifest", str(root / "data" / "full" / "manifest.json"),
+        "--out", str(tmp_path / "e.csv"),
+    ]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "e.csv").exists()
 
 
 def test_eval_category_name_mismatch(experiment, tmp_path, capsys):

@@ -245,6 +245,15 @@ def test_evaluate_end_to_end_with_real_model(tiny_dataset):
     assert row.hd95_mean >= 0.0
 
 
+def test_evaluate_frozen_and_trainable_models_write_the_same_csv(tiny_dataset):
+    cfg = M.ModelConfig(depth=2, base_channels=4, feature_channels=6, head_init_std=2.0)
+    model = M.build(cfg, (1, 2, 3), seed=4)
+    trainable = ME.evaluate(model, tiny_dataset["full"], "val", stage=3)
+    frozen = ME.evaluate(M.clone_frozen(model), tiny_dataset["full"], "val", stage=3)
+    assert frozen.to_csv() == trainable.to_csv()
+    assert len({row.dice_mean for row in trainable.rows if not row.absent}) > 1
+
+
 # CSV output
 
 

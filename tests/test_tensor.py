@@ -7,6 +7,8 @@ import pytest
 
 from ilseg import tensor as T
 
+import _oracles as O
+
 FD_TOL = 1e-5
 N_INSTANCES = 20
 
@@ -284,6 +286,112 @@ def test_composite_helpers_match_finite_differences():
     wv = T.Tensor(rng.standard_normal(3))
     y = T.Tensor(rng.standard_normal((2, 3, 4, 4)), requires_grad=True)
     assert T.finite_difference_check(lambda y: T.dot(T.masked_mean(y, mask), wv), [y]) < FD_TOL
+
+
+# bitwise agreement with the reference lowering (tests/_oracles.py)
+
+# (batch, cin, cout, height, width, kernel, stride, padding, input requires grad)
+CONV_CASES = [
+    (2, 16, 16, 64, 64, 3, 1, 1, True),
+    (2, 32, 32, 32, 32, 3, 1, 1, True),
+    (2, 64, 64, 16, 16, 3, 1, 1, True),
+    (2, 128, 64, 8, 8, 3, 1, 1, True),
+    (3, 5, 4, 9, 9, 3, 1, 1, True),
+    (2, 16, 32, 64, 64, 3, 2, 1, True),
+    (3, 4, 6, 9, 9, 3, 2, 1, True),
+    (2, 32, 3, 64, 64, 1, 1, 0, True),
+    (2, 1, 16, 64, 64, 3, 1, 1, False),
+    (1, 3, 2, 7, 5, 3, 1, 0, True),
+    (1, 2, 3, 6, 6, 5, 1, 2, True),
+]
+NORM_SHAPES = [(2, 16, 64, 64), (2, 32, 32, 32), (2, 64, 16, 16), (2, 128, 8, 8), (3, 4, 9, 9)]
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("case", CONV_CASES)
+@pytest.mark.parametrize("with_bias", [True, False])
+def test_conv2d_bitwise_matches_reference(case, dtype, with_bias):
+    b, cin, cout, h, w, k, stride, padding, x_grad = case
+    rng = np.random.default_rng(abs(hash(case)) % 2**32)
+    x = rng.standard_normal((b, cin, h, w)).astype(dtype)
+    kern = rng.standard_normal((cout, cin, k, k)).astype(dtype)
+    bias = rng.standard_normal(cout).astype(dtype) if with_bias else None
+    ref, ref_vjp = O.conv2d_oracle(x, kern, bias, stride, padding)
+    out = T.conv2d(
+        T.Tensor(x.copy(), requires_grad=x_grad),
+        T.Tensor(kern.copy(), requires_grad=True),
+        T.Tensor(bias.copy(), requires_grad=True) if with_bias else None,
+        stride=stride,
+        padding=padding,
+    )
+    assert _same_bits(out.data, ref)
+    g = rng.standard_normal(ref.shape).astype(dtype)
+    expected, got = ref_vjp(g), out._vjp(g)
+    assert len(got) == len(expected)
+    if x_grad:
+        assert _same_bits(got[0], expected[0])
+    else:
+        assert got[0] is None
+    for e, a in zip(expected[1:], got[1:]):
+        assert _same_bits(a, e)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("shape", NORM_SHAPES)
+def test_instance_norm_bitwise_matches_reference(shape, dtype):
+    rng = np.random.default_rng(shape[-1] * 1000 + shape[1])
+    x = (rng.standard_normal(shape) * 3.0 + 1.5).astype(dtype)
+    gamma = rng.standard_normal(shape[1]).astype(dtype)
+    beta = rng.standard_normal(shape[1]).astype(dtype)
+    ref, ref_vjp = O.instance_norm_oracle(x, gamma, beta)
+    out = T.instance_norm(T.Tensor(x.copy(), True), T.Tensor(gamma.copy(), True), T.Tensor(beta.copy(), True))
+    assert _same_bits(out.data, ref)
+    g = rng.standard_normal(shape).astype(dtype)
+    for e, a in zip(ref_vjp(g), out._vjp(g)):
+        assert _same_bits(a, e)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_relu_bitwise_matches_reference(dtype):
+    rng = np.random.default_rng(9)
+    special = np.array([np.nan, -np.nan, np.inf, -np.inf, -0.0, 0.0, 1.0, -1.0, 1e-45, -1e-45], dtype=dtype)
+    # runs of -0.0 of several lengths and strides reach different fmax loops
+    zeros = [np.full(n, -0.0, dtype) for n in (1, 7, 16)] + [np.full(1000, -0.0, dtype)[::2]]
+    for x in [special, rng.standard_normal((2, 16, 64, 64)).astype(dtype)] + zeros:
+        ref, ref_vjp = O.relu_oracle(x)
+        out = T.relu(T.Tensor(x.copy(), requires_grad=True))
+        assert _same_bits(out.data, ref)
+        with np.errstate(invalid="ignore"):
+            for g in (rng.standard_normal(x.shape).astype(dtype), np.full(x.shape, -np.inf, dtype), np.full(x.shape, np.nan, dtype)):
+                assert _same_bits(out._vjp(g)[0], ref_vjp(g)[0])
+
+
+def test_conv_block_backward_bitwise_matches_reference():
+    """conv -> instance_norm -> relu through `backward`, as the model runs it."""
+    rng = np.random.default_rng(4)
+    x = rng.standard_normal((2, 8, 16, 16)).astype(np.float32)
+    kern = rng.standard_normal((8, 8, 3, 3)).astype(np.float32)
+    bias, gamma, beta = (rng.standard_normal(8).astype(np.float32) for _ in range(3))
+    weights = rng.standard_normal((2, 8, 16, 16)).astype(np.float32)
+
+    c, c_vjp = O.conv2d_oracle(x, kern, bias, 1, 1)
+    n, n_vjp = O.instance_norm_oracle(c, gamma, beta)
+    r, r_vjp = O.relu_oracle(n)
+    (gn,) = r_vjp(weights)
+    gc, ggamma, gbeta = n_vjp(gn)
+    gx, gk, gb = c_vjp(gc)
+
+    leaves = [T.Tensor(a.copy(), requires_grad=True) for a in (x, kern, bias, gamma, beta)]
+    out = T.relu(T.instance_norm(T.conv2d(leaves[0], leaves[1], leaves[2], 1, 1), leaves[3], leaves[4]))
+    assert _same_bits(out.data, r)
+    T.backward(T.tsum(T.mul(out, T.Tensor(weights))))
+    for leaf, expected in zip(leaves, (gx, gk, gb, ggamma, gbeta)):
+        assert _same_bits(leaf.grad, expected)
 
 
 # hand-checked forward values

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import run_chain, run_until_crash, tiny_stage_config
+from conftest import rewrite_checkpoint_header, run_chain, run_until_crash, tiny_stage_config
 from ilseg import data as D
 from ilseg import losses as L
 from ilseg import model as M
@@ -141,6 +141,78 @@ def test_checkpoint_bad_magic_and_truncated_header(full_run, tmp_path):
     stub.write_bytes(bytes(raw[:20]))
     with pytest.raises(TR.CheckpointFormatError, match="truncated header"):
         TR.load_checkpoint(stub)
+
+
+def test_checkpoint_write_failing_midway_keeps_previous_file(full_run, tmp_path, monkeypatch):
+    run_dir, _ = full_run
+    target = tmp_path / "stage_1.ckpt"
+    shutil.copyfile(run_dir / "stage_1.ckpt", target)
+    before = target.read_bytes()
+    ck = TR.load_checkpoint(target)
+    ck.completed_epochs += 1  # a different file would be written
+
+    class FailingFile:
+        """Accepts the header, then fails as a full disk would."""
+
+        def __init__(self, fh):
+            self.fh, self.writes = fh, 0
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, data):
+            self.writes += 1
+            if self.writes > 3:
+                raise OSError(28, "No space left on device")
+            return self.fh.write(data)
+
+    monkeypatch.setattr(TR, "open", lambda *a, **kw: FailingFile(open(*a, **kw)), raising=False)
+    with pytest.raises(OSError, match="No space"):
+        TR.save_checkpoint(ck, target)
+    assert target.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["stage_1.ckpt"]
+
+
+def test_checkpoint_save_replaces_existing_file(full_run, tmp_path):
+    run_dir, _ = full_run
+    target = tmp_path / "c.ckpt"
+    target.write_bytes(b"stale")
+    TR.save_checkpoint(TR.load_checkpoint(run_dir / "stage_2.ckpt"), target)
+    assert target.read_bytes() == (run_dir / "stage_2.ckpt").read_bytes()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.ckpt"]
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda h: h.pop("bank"), "lacks 'bank'"),
+        (lambda h: h["blocks"][0].pop("dtype"), "block 0 lacks 'dtype'"),
+        (lambda h: h["optimizer"].update(step="7"), "'step' has type str"),
+        (lambda h: h["bank"].pop("frozen"), "bank lacks 'frozen'"),
+        (lambda h: h["blocks"][0].update(dtype="object"), "unsupported dtype"),
+        (lambda h: h["blocks"][0].update(shape=[1, 2, 3]), "holds"),
+        (lambda h: h["model_config"].update(depth="3"), "malformed header"),
+        (lambda h: h["blocks"].pop(), "no bank/prototypes block"),
+    ],
+)
+def test_checkpoint_malformed_header_rejected(full_run, tmp_path, edit, message):
+    run_dir, _ = full_run
+    bad = rewrite_checkpoint_header(run_dir / "stage_1.ckpt", tmp_path / "bad.ckpt", edit)
+    with pytest.raises(TR.CheckpointFormatError, match=message):
+        TR.load_checkpoint(bad)
+
+
+def test_checkpoint_header_that_is_not_json_rejected(full_run, tmp_path):
+    run_dir, _ = full_run
+    raw = bytearray((run_dir / "stage_1.ckpt").read_bytes())
+    raw[16] = 0xFF
+    bad = tmp_path / "bad.ckpt"
+    bad.write_bytes(bytes(raw))
+    with pytest.raises(TR.CheckpointFormatError, match="not UTF-8 JSON"):
+        TR.load_checkpoint(bad)
 
 
 def test_checkpoint_error_hierarchy():
@@ -321,6 +393,14 @@ def test_previous_stage_number_must_chain(full_run, tiny_dataset):
     _, ckpt2 = full_run
     with pytest.raises(TR.LineageError, match="previous checkpoint is stage 2, expected 1"):
         TR.run_stage(ckpt2, tiny_stage_config(2, tiny_dataset))
+
+
+def test_teacher_head_wider_than_uint8_pseudo_labels_rejected(full_run, tiny_dataset):
+    run_dir, _ = full_run
+    ckpt1 = TR.load_checkpoint(run_dir / "stage_1.ckpt")
+    wide = dataclasses.replace(ckpt1, registry=tuple(range(3, 259)))  # 257 head channels
+    with pytest.raises(ValueError, match="257 channels"):
+        TR.run_stage(wide, tiny_stage_config(2, tiny_dataset, mode="womem"))
 
 
 def test_category_clash_with_registry(full_run, tiny_dataset):
