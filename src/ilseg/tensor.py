@@ -22,7 +22,6 @@ import numpy as np
 
 __all__ = [
     "Tensor",
-    "Tape",
     "ShapeError",
     "NonFiniteError",
     "NondeterministicError",
@@ -595,51 +594,78 @@ def softmax(a: Tensor, axis: int = 1) -> Tensor:
 # spatial primitives
 
 
-def _im2col(xp: np.ndarray, k: int, stride: int, ho: int, wo: int) -> np.ndarray:
-    b, c = xp.shape[:2]
-    s = xp.strides
-    view = np.lib.stride_tricks.as_strided(
-        xp,
-        shape=(b, c, k, k, ho, wo),
-        strides=(s[0], s[1], s[2], s[3], s[2] * stride, s[3] * stride),
-        writeable=False,
-    )
-    return view.reshape(b, c * k * k, ho * wo)
+# Grow-only scratch bytes for conv2d's per-image patch matrix and padded
+# image. The engine is single-threaded and no conv2d call or vjp runs
+# inside another, so each call may overwrite what the last one left here.
+_WORKSPACE = np.empty(0, dtype=np.uint8)
 
 
-def _col2im_pitched(gcols: np.ndarray, k: int, padding: int, h: int, w: int, ho: int, wo: int) -> np.ndarray:
-    """Input adjoint of a stride-1 convolution with wo >= w (2 * padding >= k - 1).
+def _patches(x: np.ndarray, k: int, stride: int, padding: int, ho: int, wo: int):
+    """Yield the patch matrix (Cin*k*k, ho*wo) of each image of `x` in turn.
 
-    Sums the patch adjoints `gcols` (B, Cin*k*k, ho*wo) into the padded
-    input in the same tap order as k*k strided adds, but over a pitched
-    layout: each padded plane is stored flat with row pitch wo instead of
-    w + 2p, plus k - 1 trailing slots. Padded pixel (y, x) then sits at
-    y * wo + x, so tap (i, j) of output position q = oy * wo + ox lands on
-    q + i * wo + j and every tap is one contiguous add. Padded columns
-    x >= wo wrap onto the next row, so the patch entries of pad columns
-    are zeroed first; adding +0.0 leaves every sum bit for bit unchanged.
-    Returns a (B, Cin, h, w) view of the unpadded pixels.
+    Every matrix is built in the same workspace, so it is valid until the
+    next one is requested; a caller may overwrite it meanwhile. Zero
+    padding goes through one padded-image buffer whose border is zeroed
+    once per call.
     """
-    b, n = gcols.shape[0], ho * wo
-    taps = gcols.reshape(b, -1, k, k, ho, wo)
+    global _WORKSPACE
+    b, c, h, w = x.shape
+    hp, wp = h + 2 * padding, w + 2 * padding
+    ncols, npad = c * k * k * ho * wo, c * hp * wp if padding else 0
+    if _WORKSPACE.nbytes < (ncols + npad) * x.itemsize:
+        _WORKSPACE = np.empty((ncols + npad) * x.itemsize, dtype=np.uint8)
+    buf = _WORKSPACE[: (ncols + npad) * x.itemsize].view(x.dtype)
+    cols = buf[:ncols].reshape(c, k, k, ho, wo)
+    if padding:
+        xp = buf[ncols:].reshape(c, hp, wp)
+        xp.fill(0)
+    for i in range(b):
+        if padding:
+            xp[:, padding : padding + h, padding : padding + w] = x[i]
+        src = xp if padding else x[i]
+        s = src.strides
+        view = np.lib.stride_tricks.as_strided(
+            src,
+            shape=(c, k, k, ho, wo),
+            strides=(s[0], s[1], s[2], s[1] * stride, s[2] * stride),
+            writeable=False,
+        )
+        np.copyto(cols, view)
+        yield cols.reshape(c * k * k, ho * wo)
+
+
+def _col2im_pitched(gcols: np.ndarray, k: int, padding: int, w: int, ho: int, wo: int, gxp: np.ndarray) -> None:
+    """Add one image's input adjoint of a stride-1 convolution with wo >= w
+    (2 * padding >= k - 1) into its pitched buffer `gxp`.
+
+    Sums the patch adjoints `gcols` (Cin*k*k, ho*wo) into the padded
+    input in the same tap order as k*k strided adds, but over a pitched
+    layout: each padded plane of `gxp` (Cin, (h + 2p) * wo + k - 1) is
+    stored flat with row pitch wo instead of w + 2p, plus k - 1 trailing
+    slots. Padded pixel (y, x) then sits at y * wo + x, so tap (i, j) of
+    output position q = oy * wo + ox lands on q + i * wo + j and every
+    tap is one contiguous add. Padded columns x >= wo wrap onto the next
+    row, so the patch entries of pad columns are zeroed first; adding
+    +0.0 leaves every sum bit for bit unchanged.
+    """
+    n = ho * wo
+    taps = gcols.reshape(-1, k, k, ho, wo)
     for j in range(k):
-        taps[:, :, :, j, :, : max(padding - j, 0)] = 0
-        taps[:, :, :, j, :, max(padding + w - j, 0) :] = 0
-    taps = gcols.reshape(b, -1, k * k, n)
-    gxp = np.zeros((b, taps.shape[1], (h + 2 * padding) * wo + k - 1), dtype=gcols.dtype)
+        taps[:, :, j, :, : max(padding - j, 0)] = 0
+        taps[:, :, j, :, max(padding + w - j, 0) :] = 0
+    taps = gcols.reshape(-1, k * k, n)
     for t in range(k * k):
         off = (t // k) * wo + t % k
-        gxp[:, :, off : off + n] += taps[:, :, t]
-    start = padding * wo + padding
-    return gxp[:, :, start : start + h * wo].reshape(b, -1, h, wo)[..., :w]
+        gxp[:, off : off + n] += taps[:, t]
 
 
 def conv2d(x: Tensor, w: Tensor, bias: Tensor | None = None, stride: int = 1, padding: int = 0) -> Tensor:
     """2-d convolution (cross-correlation), zero padded.
 
     `x` is (B, Cin, H, W), `w` (Cout, Cin, k, k), optional `bias` (Cout,).
-    The forward pass lowers patches to a matrix product, which computes
-    the exact direct convolution. The input adjoint is only formed when
+    Each image's patches are lowered in turn to one matrix product, which
+    computes the exact direct convolution; the backward pass lowers them
+    again instead of keeping them. The input adjoint is only formed when
     `x` requires a gradient.
     """
     if x.data.ndim != 4 or w.data.ndim != 4:
@@ -661,37 +687,45 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor | None = None, stride: int = 1, pa
             raise ShapeError(f"conv2d: bias {bias.data.shape} does not match {cout} output channels")
     _check_finite("conv2d", x, w, *( [bias] if bias is not None else [] ))
 
-    if padding:
-        xp = np.zeros((b, cin, h + 2 * padding, wdt + 2 * padding), dtype=x.data.dtype)
-        xp[:, :, padding : padding + h, padding : padding + wdt] = x.data
-    else:
-        xp = x.data
     ho = (h + 2 * padding - k) // stride + 1
     wo = (wdt + 2 * padding - k) // stride + 1
-    cols = _im2col(xp, k, stride, ho, wo)
+    xd = x.data
     w2 = w.data.reshape(cout, cin * k * k)
-    out = np.matmul(w2[None], cols).reshape(b, cout, ho, wo)
+    out = np.empty((b, cout, ho, wo), dtype=xd.dtype)
+    for i, cols in enumerate(_patches(xd, k, stride, padding, ho, wo)):
+        np.matmul(w2, cols, out=out[i].reshape(cout, ho * wo))
     if bias is not None:
         out += bias.data[:, None, None]
     need_gx = x.requires_grad
 
     def vjp(g):
         g2 = g.reshape(b, cout, ho * wo)
-        cols_b = _im2col(xp, k, stride, ho, wo)
-        gw = np.matmul(g2, cols_b.transpose(0, 2, 1)).sum(axis=0).reshape(cout, cin, k, k)
-        gx = None
-        if need_gx:
+        gw = np.empty((b, cout, cin * k * k), dtype=g.dtype)
+        pitched = stride == 1 and wo >= wdt
+        if need_gx and pitched:
+            gxp = np.zeros((b, cin, (h + 2 * padding) * wo + k - 1), dtype=g.dtype)
+        elif need_gx:
+            gxp = np.zeros((b, cin, h + 2 * padding, wdt + 2 * padding), dtype=g.dtype)
+        for i, cols in enumerate(_patches(xd, k, stride, padding, ho, wo)):
+            np.matmul(g2[i], cols.T, out=gw[i])
+            if not need_gx:
+                continue
             # the patch adjoint has the patches' shape; their copy is free now
-            gcols = np.matmul(w2.T[None], g2, out=cols_b if cols_b.flags.writeable else None)
-            if stride == 1 and wo >= wdt:
-                gx = _col2im_pitched(gcols, k, padding, h, wdt, ho, wo)
-            else:
-                gcols = gcols.reshape(b, cin, k, k, ho, wo)
-                gxp = np.zeros_like(xp)
-                for i in range(k):
-                    for j in range(k):
-                        gxp[:, :, i : i + stride * ho : stride, j : j + stride * wo : stride] += gcols[:, :, i, j]
-                gx = gxp[:, :, padding : padding + h, padding : padding + wdt] if padding else gxp
+            gcols = np.matmul(w2.T, g2[i], out=cols)
+            if pitched:
+                _col2im_pitched(gcols, k, padding, wdt, ho, wo, gxp[i])
+                continue
+            gcols = gcols.reshape(cin, k, k, ho, wo)
+            for a in range(k):
+                for c in range(k):
+                    gxp[i, :, a : a + stride * ho : stride, c : c + stride * wo : stride] += gcols[:, a, c]
+        gw = gw.sum(axis=0).reshape(cout, cin, k, k)
+        gx = None
+        if need_gx and pitched:
+            start = padding * wo + padding
+            gx = gxp[:, :, start : start + h * wo].reshape(b, cin, h, wo)[..., :wdt]
+        elif need_gx:
+            gx = gxp[:, :, padding : padding + h, padding : padding + wdt]
         if bias is not None:
             return gx, gw, g.sum(axis=(0, 2, 3))
         return gx, gw
@@ -709,7 +743,13 @@ def upsample_nearest2(x: Tensor) -> Tensor:
     out = np.repeat(np.repeat(x.data, 2, axis=2), 2, axis=3)
 
     def vjp(g):
-        return (g.reshape(b, c, h, 2, w, 2).sum(axis=(3, 5)),)
+        if w == 1 or g.strides[3] != g.itemsize:
+            return (g.reshape(b, c, h, 2, w, 2).sum(axis=(3, 5)),)
+        # with unit-stride rows of more than one block, that sum adds each
+        # block's row pairs and then the two pair sums: the same additions
+        # in the same order, without the strided reduction
+        s = g[..., 0::2] + g[..., 1::2]
+        return (s[:, :, 0::2] + s[:, :, 1::2],)
 
     return _wrap(out, "upsample_nearest2", (x,), vjp)
 
@@ -725,20 +765,23 @@ def instance_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> 
     _check_dtype("instance_norm", x, beta)
     _check_finite("instance_norm", x, gamma, beta)
     n = h * w
-    mu = x.data.mean(axis=(2, 3), keepdims=True)
+    xd, gd = x.data, gamma.data
+    mu = xd.mean(axis=(2, 3), keepdims=True)
     # the centred values and variance come from np.var's own sequence of
     # operations, so the statistics match np.var bit for bit
-    xhat = x.data - mu
+    xhat = xd - mu
     out = np.square(xhat)
     var = np.add.reduce(out, axis=(2, 3), keepdims=True)
     np.true_divide(var, np.intp(n), out=var, casting="unsafe")
-    inv_std = 1.0 / np.sqrt(var + x.data.dtype.type(eps))
+    inv_std = 1.0 / np.sqrt(var + xd.dtype.type(eps))
     xhat *= inv_std
-    np.multiply(xhat, gamma.data[None, :, None, None], out=out)
+    np.multiply(xhat, gd[None, :, None, None], out=out)
     out += beta.data[None, :, None, None]
-    gd = gamma.data
 
     def vjp(g):
+        # xhat is not kept: the forward's own two operations rebuild it
+        xhat = xd - mu
+        xhat *= inv_std
         # standard normalization backward; the mean-of-xhat term vanishes
         # analytically but is kept for numerical agreement with FD
         gx = g * gd[None, :, None, None]
@@ -759,20 +802,11 @@ def instance_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> 
 
 
 # ---------------------------------------------------------------------------
-# tape and backward
+# backward
 
 
-class Tape:
-    """Execution-ordered record of the gradient-requiring tensors reachable
-    from one output. Entry order equals creation order."""
-
-    __slots__ = ("entries",)
-
-    def __init__(self, entries: list):
-        self.entries = entries
-
-
-def trace(output: Tensor) -> Tape:
+def trace(output: Tensor) -> list[Tensor]:
+    """The gradient-requiring tensors reachable from `output`, in creation order."""
     seen: set[int] = set()
     found: list[Tensor] = []
     stack = [output]
@@ -784,14 +818,18 @@ def trace(output: Tensor) -> Tape:
         found.append(t)
         stack.extend(t._parents)
     found.sort(key=lambda t: t._seq)
-    return Tape(found)
+    return found
 
 
 def backward(output: Tensor) -> None:
     """Accumulate adjoints of `output` into the grads of reachable leaves.
 
     Repeated calls keep adding into ``.grad``; reset a leaf by assigning
-    ``None``. The output must be a scalar on the tape.
+    ``None``. The output must be a scalar on the tape. The graph is
+    consumed as it is walked: once a record's vjp has run, the record
+    drops its closure and parents and stops requiring a gradient, so each
+    activation is freed as soon as nothing below it needs it. Values
+    stay; a second call through the same output raises ValueError.
     """
     if output.data.size != 1:
         raise ShapeError(f"backward: output must be scalar, got shape {output.data.shape}")
@@ -799,18 +837,20 @@ def backward(output: Tensor) -> None:
         raise ValueError("backward: output is not connected to any gradient-requiring leaf")
     tape = trace(output)
     adjoints: dict[int, np.ndarray] = {id(output): np.ones_like(output.data)}
-    for t in reversed(tape.entries):
+    while tape:
+        t = tape.pop()
         g = adjoints.pop(id(t), None)
-        if g is None:
-            continue
         if t._vjp is None:
-            t.grad = g.copy() if t.grad is None else t.grad + g
+            if g is not None:
+                t.grad = g.copy() if t.grad is None else t.grad + g
             continue
-        for parent, pg in zip(t._parents, t._vjp(g)):
-            if pg is None or not parent.requires_grad:
-                continue
-            held = adjoints.get(id(parent))
-            adjoints[id(parent)] = pg if held is None else held + pg
+        if g is not None:
+            for parent, pg in zip(t._parents, t._vjp(g)):
+                if pg is None or not parent.requires_grad:
+                    continue
+                held = adjoints.get(id(parent))
+                adjoints[id(parent)] = pg if held is None else held + pg
+        t._vjp, t._parents, t.requires_grad = None, (), False
 
 
 # ---------------------------------------------------------------------------

@@ -417,6 +417,8 @@ def _check_header(path, header) -> None:
 
 
 def load_checkpoint(path: Path | str) -> Checkpoint:
+    # one read; the checksum and the blocks work on views of it, and each
+    # array is copied out once so that it is writeable and owns its memory
     raw = Path(path).read_bytes()
     if len(raw) < len(CKPT_MAGIC) + 8 or raw[: len(CKPT_MAGIC)] != CKPT_MAGIC:
         raise CheckpointFormatError(f"{path}: bad magic")
@@ -433,7 +435,7 @@ def load_checkpoint(path: Path | str) -> Checkpoint:
         raise CheckpointFormatError(f"{path}: header is not UTF-8 JSON: {e}") from None
     _check_header(path, header)
     off += head_len
-    payload = raw[off:]
+    payload = memoryview(raw)[off:]
     digest = hashlib.sha256(payload).hexdigest()
     if digest != header["checksum"]:
         raise CheckpointChecksumError(f"{path}: checksum mismatch")
@@ -465,7 +467,7 @@ def load_checkpoint(path: Path | str) -> Checkpoint:
         bank = Mem.MemoryBank(
             feature_channels=bank_meta["feature_channels"],
             category_ids=[int(c) for c in bank_meta["category_ids"]],
-            prototypes=arrays["bank/prototypes"].astype(np.float64),
+            prototypes=arrays["bank/prototypes"].astype(np.float64, copy=False),
             initialized=np.array(bank_meta["initialized"], dtype=bool),
             frozen=np.array(bank_meta["frozen"], dtype=bool),
             m0=bank_meta["m0"],

@@ -153,11 +153,13 @@ def mem_loss_oracle(prototypes: np.ndarray, rows: np.ndarray, head_w: np.ndarray
 
 
 # ---------------------------------------------------------------------------
-# Reference forward/vjp pairs for the conv block primitives, kept exactly as
-# the straightforward lowering wrote them: np.pad, a fresh im2col in each
-# pass, k*k strided scatter-adds for the input adjoint, np.where for relu
-# and the textbook instance-norm expressions. The production primitives
-# must reproduce every output and adjoint bit for bit. Each returns
+# Reference forward/vjp pairs for the conv block primitives and the
+# decoder's upsampling, kept exactly as the straightforward lowering wrote
+# them: np.pad, a fresh batch-wide im2col in each pass, k*k strided
+# scatter-adds for the input adjoint, np.where for relu, the textbook
+# instance-norm expressions and a reshaped block sum for the upsampling
+# adjoint. The production primitives must reproduce every output and
+# adjoint bit for bit. Each returns
 # (out, vjp) with vjp(g) -> tuple of parent adjoints.
 
 
@@ -230,5 +232,15 @@ def relu_oracle(x):
 
     def vjp(g):
         return (g * mask,)
+
+    return out, vjp
+
+
+def upsample_nearest2_oracle(x):
+    b, c, h, w = x.shape
+    out = np.repeat(np.repeat(x, 2, axis=2), 2, axis=3)
+
+    def vjp(g):
+        return (g.reshape(b, c, h, 2, w, 2).sum(axis=(3, 5)),)
 
     return out, vjp

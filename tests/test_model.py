@@ -1,10 +1,12 @@
 """Encoder-decoder construction, head expansion, and frozen-copy contracts."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from ilseg import losses as L
 from ilseg import model as M
 from ilseg import tensor as T
 
@@ -152,3 +154,44 @@ def test_clone_frozen_is_immutable_snapshot():
 
     with pytest.raises((ValueError, RuntimeError)):
         frozen.params["head_b"][:] = 0.0
+
+
+# activation memory
+
+
+def _traced_peak(fn) -> int:
+    """Peak bytes that numpy and Python allocate while `fn` runs."""
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        fn()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if started:
+            tracemalloc.stop()
+
+
+def test_training_step_and_frozen_forward_stay_within_memory_budget():
+    """64 px: backward frees the graph as it goes and each conv lowers one
+    image at a time, so neither the step nor inference holds a batch of
+    patch matrices or a second copy of every activation."""
+    rng = np.random.default_rng(6)
+    model = M.build(M.ModelConfig(), (1, 2), seed=6)
+    space = L.LabelSpace(old=(), new=(1, 2))
+    images = rng.standard_normal((2, 1, 64, 64)).astype(np.float32)
+    labels = rng.integers(0, 3, (2, 64, 64))
+
+    def step():
+        for p in model.params.values():
+            p.grad = None
+        _, logits = M.forward(model, images)
+        T.backward(L.full_softmax_loss(logits, labels, space))
+
+    step()  # the conv workspace reaches its size here
+    assert _traced_peak(step) <= 28 * 2**20
+    frozen = M.clone_frozen(model)
+    batch = rng.standard_normal((4, 1, 64, 64)).astype(np.float32)
+    assert _traced_peak(lambda: M.forward(frozen, batch)) <= 12 * 2**20

@@ -371,6 +371,38 @@ def test_relu_bitwise_matches_reference(dtype):
                 assert _same_bits(out._vjp(g)[0], ref_vjp(g)[0])
 
 
+def test_instance_norm_float32_large_mean_matches_reference():
+    """9x9 planes far from zero: the statistics must come from the centred
+    values as np.var forms them, not from a one-pass E[x^2] - mean^2."""
+    rng = np.random.default_rng(81)
+    x = (rng.standard_normal((3, 4, 9, 9)) * 3.0 + 1.0e4).astype(np.float32)
+    gamma = rng.standard_normal(4).astype(np.float32)
+    beta = rng.standard_normal(4).astype(np.float32)
+    ref, ref_vjp = O.instance_norm_oracle(x, gamma, beta)
+    out = T.instance_norm(T.Tensor(x.copy(), True), T.Tensor(gamma.copy(), True), T.Tensor(beta.copy(), True))
+    assert _same_bits(out.data, ref)
+    g = rng.standard_normal(x.shape).astype(np.float32)
+    for e, a in zip(ref_vjp(g), out._vjp(g)):
+        assert _same_bits(a, e)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("shape", [(2, 16, 32, 32), (2, 32, 16, 16), (3, 5, 3, 7), (2, 3, 4, 1), (1, 1, 1, 1)])
+def test_upsample_nearest2_bitwise_matches_reference(shape, dtype):
+    rng = np.random.default_rng(shape[1] * 100 + shape[2])
+    x = rng.standard_normal(shape).astype(dtype)
+    ref, ref_vjp = O.upsample_nearest2_oracle(x)
+    out = T.upsample_nearest2(T.Tensor(x.copy(), requires_grad=True))
+    assert _same_bits(out.data, ref)
+    b, c, h, w = ref.shape
+    # the decoder hands it a crop of the next conv's padded input adjoint
+    padded = (rng.standard_normal((b, c + 2, h + 2, w + 2)) * rng.choice([1e-3, 1.0, 1e4], (b, c + 2, h + 2, w + 2))).astype(dtype)
+    crop = padded[:, 1 : c + 1, 1 : h + 1, 1 : w + 1]
+    layouts = (crop, np.ascontiguousarray(crop), np.asfortranarray(crop), crop[..., ::-1], np.broadcast_to(crop[:1, :1, :1, :1], crop.shape))
+    for g in layouts:
+        assert _same_bits(out._vjp(g)[0], ref_vjp(g)[0])
+
+
 def test_conv_block_backward_bitwise_matches_reference():
     """conv -> instance_norm -> relu through `backward`, as the model runs it."""
     rng = np.random.default_rng(4)
@@ -496,6 +528,26 @@ def test_backward_accumulates_until_cleared():
     x.grad = None
     T.backward(T.tsum(T.mul(x, x)))
     assert np.allclose(x.grad, [6.0])
+
+
+def test_backward_consumes_the_graph_and_keeps_values():
+    rng = np.random.default_rng(12)
+    leaves = [T.Tensor(rng.standard_normal(s), requires_grad=True) for s in ((2, 3, 4, 4), (3, 3, 3, 3), (3,), (3,), (3,))]
+    x, w, bias, gamma, beta = leaves
+    h = T.relu(T.instance_norm(T.conv2d(x, w, bias, 1, 1), gamma, beta))
+    out = T.tsum(T.mul(T.upsample_nearest2(h), T.Tensor(rng.standard_normal((2, 3, 8, 8)))))
+    nodes = T.trace(out)
+    values = [t.data.tobytes() for t in nodes]
+    T.backward(out)
+    for t, before in zip(nodes, values):
+        assert t.data.tobytes() == before
+        if any(t is leaf for leaf in leaves):
+            assert t.requires_grad and t.grad is not None
+        else:
+            assert t._vjp is None and t._parents == () and not t.requires_grad
+    assert len(nodes) == len(leaves) + 6
+    with pytest.raises(ValueError):
+        T.backward(out)
 
 
 def test_backward_rejects_non_scalar_output():
