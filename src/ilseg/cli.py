@@ -35,8 +35,6 @@ EXIT_LINEAGE = 3
 EXIT_CATEGORY = 4
 EXIT_EMPTY = 5
 
-_MODE_ALIASES = {"full": "full", "womem": "womem", "ft": "ft", "joint": "joint"}
-
 
 class ConfigError(ValueError):
     pass
@@ -47,8 +45,8 @@ class CategoryMismatchError(ValueError):
 
 
 def _normalize_mode(name: str) -> str:
-    mode = _MODE_ALIASES.get(str(name).lower())
-    if mode is None:
+    mode = str(name).lower()
+    if mode not in TR.MODES:
         raise ConfigError(f"unknown mode {name!r}; expected one of full, woMem, ft, joint")
     return mode
 
@@ -218,7 +216,7 @@ def cmd_eval(args) -> int:
             )
     # a frozen copy runs the same forward without recording backward closures
     model = M.clone_frozen(TR.model_from_checkpoint(ckpt))
-    rep = ME.evaluate(model, args.manifest, split=args.split, stage=ckpt.stage)
+    rep = ME.evaluate(model, manifest_doc, split=args.split, stage=ckpt.stage)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     rep.write_csv(out)

@@ -8,8 +8,16 @@ sorted distances and Euclidean distance scaled by pixel spacing. An
 empty mask makes the pair degenerate: the distance reported is the
 image diagonal and the row is flagged.
 
-The production path uses a distance transform; tests cross-check it
-against a brute-force nearest-neighbour oracle.
+HD95 needs, for each boundary pixel of one mask, the distance to the
+nearest boundary pixel of the other. It is found in two separable steps
+(Felzenszwalb & Huttenlocher, Theory of Computing 8, 2012): an upward and
+a downward scan give, in every column, the row gap to the nearest
+boundary pixel of that column; then each source pixel takes the least
+(dy*sy)**2 + (dx*sx)**2 over the columns that hold one. Rounding is
+monotone, so the nearest row of a column is also its nearest in float64,
+and the result equals an exact Euclidean distance transform's bit for
+bit. Tests cross-check it against scipy's transform and a brute-force
+nearest-neighbour oracle.
 """
 
 from __future__ import annotations
@@ -21,7 +29,6 @@ from pathlib import Path
 from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
-from scipy import ndimage
 
 from . import data as D
 from . import model as M
@@ -77,10 +84,33 @@ class HD95Result(NamedTuple):
     degenerate: bool
 
 
-def _directed_p95(src: np.ndarray, dst_distance: np.ndarray) -> float:
-    d = np.sort(dst_distance[src])
-    idx = int(np.ceil(0.95 * d.size)) - 1
-    return float(d[idx])
+# elements of one (source pixels x columns) block in _directed_p95
+_BLOCK = 1 << 15
+
+
+def _directed_p95(src: np.ndarray, dst: np.ndarray, sy: float, sx: float) -> float:
+    """Nearest-rank 95th percentile of the distances from each `src` pixel
+    to the nearest `dst` pixel (both masks non-empty)."""
+    h, w = dst.shape
+    cols = np.flatnonzero(dst.any(axis=0))
+    d = dst[:, cols]
+    rows = np.arange(h)[:, None]
+    # nearest dst row at or above / at or below each row; the sentinels
+    # lie h or more rows away, so every kept column has a real nearest row
+    above = np.maximum.accumulate(np.where(d, rows, -h), axis=0)
+    below = np.minimum.accumulate(np.where(d, rows, 2 * h)[::-1], axis=0)[::-1]
+    dy = np.minimum(rows - above, below - rows) * sy
+    dx = (np.arange(w)[:, None] - cols) * sx
+    dy2, dx2 = dy * dy, dx * dx
+    ys, xs = np.nonzero(src)
+    sq = np.empty(ys.size)
+    step = max(1, _BLOCK // cols.size)
+    for lo in range(0, ys.size, step):
+        hi = lo + step
+        sq[lo:hi] = (dy2[ys[lo:hi]] + dx2[xs[lo:hi]]).min(axis=1)
+    idx = int(np.ceil(0.95 * sq.size)) - 1
+    # sqrt is monotone, so the root of the rank-idx square is the rank-idx distance
+    return float(np.sqrt(np.partition(sq, idx)[idx]))
 
 
 def hd95(pred: np.ndarray, gt: np.ndarray, spacing: float | tuple[float, float] = 1.0) -> HD95Result:
@@ -106,10 +136,7 @@ def hd95(pred: np.ndarray, gt: np.ndarray, spacing: float | tuple[float, float] 
         return HD95Result(diag, True)
     bp = boundary_mask(pred)
     bg = boundary_mask(gt)
-    # distance from every pixel to the nearest boundary pixel of the other mask
-    dist_to_gt = ndimage.distance_transform_edt(~bg, sampling=(sy, sx))
-    dist_to_pred = ndimage.distance_transform_edt(~bp, sampling=(sy, sx))
-    return HD95Result(max(_directed_p95(bp, dist_to_gt), _directed_p95(bg, dist_to_pred)), False)
+    return HD95Result(max(_directed_p95(bp, bg, sy, sx), _directed_p95(bg, bp, sy, sx)), False)
 
 
 # ---------------------------------------------------------------------------

@@ -229,6 +229,28 @@ def test_eval_writes_stable_csv(experiment, tmp_path):
     assert out.read_bytes() == first
 
 
+
+def test_eval_process_imports_no_scipy(experiment, tmp_path):
+    root, _ = experiment
+    code = (
+        "import json, sys\n"
+        "import ilseg.cli\n"
+        "rc = ilseg.cli.main(sys.argv[1:])\n"
+        "print(json.dumps([rc, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')]))\n"
+    )
+    res = subprocess.run(
+        [
+            sys.executable, "-c", code, "--quiet", "eval",
+            "--checkpoint", str(root / "runs" / "full" / "stage_2.ckpt"),
+            "--manifest", str(root / "data" / "full" / "manifest.json"),
+            "--out", str(tmp_path / "eval.csv"),
+        ],
+        capture_output=True, text=True,
+    )
+    assert res.returncode == 0, res.stderr
+    assert json.loads(res.stdout) == [0, []]
+    assert (tmp_path / "eval.csv").exists()
+
 def test_eval_missing_checkpoint(experiment, tmp_path):
     root, _ = experiment
     assert CLI.main([

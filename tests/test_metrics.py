@@ -150,6 +150,42 @@ def test_metrics_match_bruteforce_oracles():
         n_pairs += 1
 
 
+
+def _hd95_scipy(pred, gt, spacing, ndimage):
+    """hd95 as computed with scipy's exact Euclidean distance transform."""
+    sy, sx = (spacing, spacing) if np.isscalar(spacing) else spacing
+    bp, bg = ME.boundary_mask(pred), ME.boundary_mask(gt)
+
+    def p95(src, dist):
+        d = np.sort(dist[src])
+        return float(d[int(np.ceil(0.95 * d.size)) - 1])
+
+    to_gt = ndimage.distance_transform_edt(~bg, sampling=(sy, sx))
+    to_pred = ndimage.distance_transform_edt(~bp, sampling=(sy, sx))
+    return ME.HD95Result(max(p95(bp, to_gt), p95(bg, to_pred)), False)
+
+
+def _organ_pairs(size, seed):
+    cfg = D.GeneratorConfig(image_size=size)
+    a, b = (D.render_sample(cfg, seed, 1, "train", i, (1, 2, 3, 4, 5)).labels for i in (0, 1))
+    return [(a == c, b == c) for c in range(1, 6)]
+
+
+def test_hd95_equals_scipy_distance_transform_bitwise():
+    ndimage = pytest.importorskip("scipy.ndimage")
+    rng = np.random.default_rng(4)
+    pairs = _organ_pairs(64, 11) + _organ_pairs(128, 12)
+    for _ in range(6):
+        blob = _random_mask(rng, 64, "blob")
+        pairs.append((blob, ndimage.binary_dilation(blob, iterations=int(rng.integers(1, 6)))))
+    for frac in (0.3, 0.5):
+        for size in (48, 64):
+            pairs.append((rng.random((size, size)) < frac, rng.random((size, size)) < frac))
+    for pred, gt in pairs:
+        assert pred.any() and gt.any()
+        for spacing in (1.0, 2.0, (1.3, 0.7)):
+            assert ME.hd95(pred, gt, spacing) == _hd95_scipy(pred, gt, spacing, ndimage)
+
 def test_hd95_symmetric_and_bounded_by_exact_hausdorff():
     rng = np.random.default_rng(3)
     checked = 0
