@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import data as D
@@ -92,6 +93,8 @@ def load_experiment_config(path: Path | str) -> dict:
         _reject_unknown(entry, _STAGE_KEYS, f"{path}: stages[{i}]")
         if "new_categories" not in entry:
             raise ConfigError(f"{path}: stages[{i}] missing new_categories")
+    if not isinstance(doc["modes"], list) or not all(isinstance(m, str) for m in doc["modes"]):
+        raise ConfigError(f"{path}: modes must be a list of strings")
     doc["modes"] = [_normalize_mode(m) for m in doc["modes"]]
     try:
         doc["data_config"] = D.GeneratorConfig.from_dict(doc.get("data", {}))
@@ -176,14 +179,21 @@ def _train_mode(doc: dict, mode: str, root: Path, seed: int, resume: bool, args)
             expect = (prev.registry if prev else ()) + cfg.new_categories
             if loaded.registry != expect:
                 raise TR.LineageError(f"{final} covers categories {loaded.registry}, expected {expect}")
-            prev = loaded
+            prev = _carry(loaded)
             _say(args, f"{final} already complete")
             continue
         if i > 0 and prev is None:
             raise TR.LineageError(f"stage {cfg.stage} needs {run_dir / f'stage_{cfg.stage - 1}.ckpt'}")
         resume_ckpt = _maybe_resume(run_dir / f"stage_{cfg.stage}.epoch.ckpt", resume)
-        prev = runner(prev, cfg, run_dir=run_dir, resume_from=resume_ckpt)
+        prev = _carry(runner(prev, cfg, run_dir=run_dir, resume_from=resume_ckpt))
         _say(args, f"wrote {final}")
+
+
+def _carry(ckpt: TR.Checkpoint) -> TR.Checkpoint:
+    """What the next stage reads of a finished one: its params, registry,
+    categories and bank. The Adam moments are already on disk; dropping
+    them here frees that memory for the next stage."""
+    return replace(ckpt, optimizer={})
 
 
 def _maybe_resume(epoch_ckpt: Path, resume: bool) -> TR.Checkpoint | None:

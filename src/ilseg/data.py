@@ -15,8 +15,11 @@ of annotated ids, then that many uint8 ids.
 
 from __future__ import annotations
 
+import functools
 import json
+import math
 import struct
+import threading
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterator, Mapping, Sequence
@@ -166,20 +169,52 @@ class Sample:
     def validate(self) -> None:
         if self.image.shape != self.labels.shape:
             raise SampleFormatError(f"image {self.image.shape} and labels {self.labels.shape} disagree")
-        present = set(np.unique(self.labels).tolist()) - {0}
+        present = set(np.flatnonzero(np.bincount(self.labels.ravel())).tolist()) - {0}
         extra = present - set(self.annotated)
         if extra:
             raise SampleFormatError(f"labels carry unannotated categories {sorted(extra)}")
 
 
-def _ellipse_mask(size: int, cat: Category, cx: float, cy: float, scale: float, grid: tuple) -> np.ndarray:
-    ys, xs = grid
-    dx = xs - cx * size
-    dy = ys - cy * size
+def _ellipse_mask(size: int, cat: Category, cx: float, cy: float, scale: float, centres: np.ndarray) -> tuple:
+    """Pixels of one ellipse as (y0, x0, inside).
+
+    `inside` covers only the ellipse's bounding box, grown by 2 px and
+    clipped to the image, with (y0, x0) its top-left pixel. Every pixel
+    centre outside that box has u*u + v*v > 1 by a wide margin, so the
+    mask equals the full-image test; each pixel inside gets the same
+    float64 operations as there.
+    """
+    reach = max(cat.radii) * scale * size + 2
+    (y0, y1), (x0, x1) = (_span(c * size, reach, size) for c in (cy, cx))
+    dx = centres[x0:x1] - cx * size
+    dy = centres[y0:y1, None] - cy * size
     cos_a, sin_a = np.cos(cat.angle), np.sin(cat.angle)
     u = (dx * cos_a + dy * sin_a) / (cat.radii[0] * scale * size)
     v = (-dx * sin_a + dy * cos_a) / (cat.radii[1] * scale * size)
-    return u * u + v * v <= 1.0
+    return y0, x0, u * u + v * v <= 1.0
+
+
+def _span(centre: float, reach: float, size: int) -> tuple[int, int]:
+    lo = min(max(0, math.floor(centre - reach)), size)
+    return lo, max(lo, min(size, math.ceil(centre + reach)))
+
+
+def _overlap(a: tuple, b: tuple) -> int:
+    """Pixels two `_ellipse_mask` results share, counted on the boxes' intersection."""
+    (ay, ax, am), (by, bx, bm) = a, b
+    y0, x0 = max(ay, by), max(ax, bx)
+    y1 = min(ay + am.shape[0], by + bm.shape[0])
+    x1 = min(ax + am.shape[1], bx + bm.shape[1])
+    if y0 >= y1 or x0 >= x1:
+        return 0
+    return np.count_nonzero(am[y0 - ay : y1 - ay, x0 - ax : x1 - ax] & bm[y0 - by : y1 - by, x0 - bx : x1 - bx])
+
+
+@functools.lru_cache(maxsize=8)
+def _pixel_centres(size: int) -> np.ndarray:
+    centres = np.arange(size, dtype=np.float64) + 0.5
+    centres.flags.writeable = False
+    return centres
 
 
 def render_sample(
@@ -201,8 +236,7 @@ def render_sample(
     config.validate()
     size = config.image_size
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(stage_tag, _SPLIT_TAG[split], index)))
-    ys, xs = np.mgrid[0:size, 0:size].astype(np.float64) + 0.5
-    grid = (ys, xs)
+    centres = _pixel_centres(size)
     area_img = float(size * size)
 
     while True:
@@ -211,26 +245,26 @@ def render_sample(
             gdx = rng.uniform(-config.jitter_px, config.jitter_px)
             gdy = rng.uniform(-config.jitter_px, config.jitter_px)
             gscale = rng.uniform(1.0 - config.scale_jitter, 1.0 + config.scale_jitter)
-            trial = []
+            trial, counts = [], []
             ok = True
             for cat in CATEGORIES:
                 sdx = rng.uniform(-config.shape_jitter_px, config.shape_jitter_px)
                 sdy = rng.uniform(-config.shape_jitter_px, config.shape_jitter_px)
                 cx = cat.center[0] + (gdx + sdx) / size
                 cy = cat.center[1] + (gdy + sdy) / size
-                mask = _ellipse_mask(size, cat, cx, cy, gscale, grid)
-                area = mask.sum() / area_img
-                if not (cat.area_range[0] <= area <= cat.area_range[1]):
+                mask = _ellipse_mask(size, cat, cx, cy, gscale, centres)
+                count = np.count_nonzero(mask[2])
+                if not (cat.area_range[0] <= count / area_img <= cat.area_range[1]):
                     ok = False
                     break
                 trial.append(mask)
+                counts.append(count)
             if not ok:
                 continue
             for i in range(len(trial)):
                 for j in range(i + 1, len(trial)):
-                    inter = np.logical_and(trial[i], trial[j]).sum()
-                    limit = config.overlap_tolerance * min(trial[i].sum(), trial[j].sum())
-                    if inter > limit:
+                    limit = config.overlap_tolerance * min(counts[i], counts[j])
+                    if _overlap(trial[i], trial[j]) > limit:
                         ok = False
                         break
                 if not ok:
@@ -243,32 +277,38 @@ def render_sample(
 
     fx, fy = rng.uniform(0.5, 2.0, size=2)
     px, py = rng.uniform(0.0, 2 * np.pi, size=2)
-    texture = np.sin(2 * np.pi * fx * xs / size + px) * np.sin(2 * np.pi * fy * ys / size + py)
+    # separable: sin(x term) * sin(y term), each sine taken once per row or column
+    texture = np.multiply.outer(np.sin(2 * np.pi * fy * centres / size + py), np.sin(2 * np.pi * fx * centres / size + px))
     image = config.background_level + config.texture_amplitude * texture
     shift = config.stage_intensity_shift[stage_tag - 1] if stage_tag >= 1 else 0.0
     labels = np.zeros((size, size), dtype=np.uint8)
     annotated = tuple(int(a) for a in annotated)
-    for cat, mask in zip(CATEGORIES, masks):
-        image[mask] = cat.intensity
+    for cat, (y0, x0, inside) in zip(CATEGORIES, masks):
+        box = (slice(y0, y0 + inside.shape[0]), slice(x0, x0 + inside.shape[1]))
+        image[box][inside] = cat.intensity
         if cat.id in annotated:
-            labels[mask] = cat.id
+            labels[box][inside] = cat.id
     image = image + shift + rng.normal(0.0, config.noise_sigma, size=(size, size))
     sample = Sample(image=np.clip(image, 0.0, 1.0).astype(np.float32), labels=labels, annotated=annotated)
     sample.validate()
     return sample
 
 
+def _encode(sample: Sample) -> bytes:
+    h, w = sample.image.shape
+    return b"".join((
+        MAGIC,
+        struct.pack("<II", h, w),
+        sample.image.astype("<f4").tobytes(order="C"),
+        sample.labels.astype(np.uint8).tobytes(order="C"),
+        struct.pack("<B", len(sample.annotated)),
+        bytes(int(a) for a in sample.annotated),
+    ))
+
+
 def save_sample(sample: Sample, path: Path | str) -> None:
     sample.validate()
-    h, w = sample.image.shape
-    payload = bytearray()
-    payload += MAGIC
-    payload += struct.pack("<II", h, w)
-    payload += sample.image.astype("<f4").tobytes(order="C")
-    payload += sample.labels.astype(np.uint8).tobytes(order="C")
-    payload += struct.pack("<B", len(sample.annotated))
-    payload += bytes(int(a) for a in sample.annotated)
-    Path(path).write_bytes(bytes(payload))
+    Path(path).write_bytes(_encode(sample))
 
 
 def load_sample(path: Path | str) -> Sample:
@@ -329,21 +369,47 @@ def load_manifest(path: Path | str, check_files: bool = True) -> dict:
         doc = json.loads(path.read_text())
     except json.JSONDecodeError as e:
         raise SampleFormatError(f"{path}: invalid JSON at line {e.lineno} column {e.colno}: {e.msg}") from None
+    except UnicodeDecodeError as e:
+        raise SampleFormatError(f"{path}: not UTF-8 text: {e.reason}") from None
+    if not isinstance(doc, dict):
+        raise SampleFormatError(f"{path}: manifest top level must be an object")
     for key in ("version", "seed", "categories", "samples"):
         if key not in doc:
             raise SampleFormatError(f"{path}: manifest missing {key!r}")
     if doc["version"] != MANIFEST_VERSION:
         raise SampleFormatError(f"{path}: unsupported manifest version {doc['version']}")
-    doc["categories"] = {int(k): str(v) for k, v in doc["categories"].items()}
+    cats = doc["categories"]
+    if not isinstance(cats, dict) or not all(_is_int_text(k) and isinstance(v, str) for k, v in cats.items()):
+        raise SampleFormatError(f"{path}: categories must map integer ids to names")
+    doc["categories"] = {int(k): v for k, v in cats.items()}
+    if not isinstance(doc["samples"], list):
+        raise SampleFormatError(f"{path}: samples must be a list")
     base = path.parent
     for entry in doc["samples"]:
+        if not isinstance(entry, dict):
+            raise SampleFormatError(f"{path}: sample entry must be an object, got {type(entry).__name__}")
         for key in ("path", "annotated", "split"):
             if key not in entry:
                 raise SampleFormatError(f"{path}: sample entry missing {key!r}")
-        if check_files and not (base / entry["path"]).exists():
-            raise SampleFormatError(f"{path}: referenced file missing: {entry['path']}")
+        ann = entry["annotated"]
+        if not (isinstance(entry["path"], str) and isinstance(entry["split"], str) and isinstance(ann, list)
+                and all(type(a) is int for a in ann)):
+            raise SampleFormatError(f"{path}: sample entry needs a string path and split and a list of integer ids")
+        if check_files:
+            try:
+                (base / entry["path"]).stat()
+            except (OSError, ValueError):  # ValueError: a NUL byte in the path
+                raise SampleFormatError(f"{path}: referenced file missing: {entry['path']}") from None
     doc["base"] = base
     return doc
+
+
+def _is_int_text(key: str) -> bool:
+    try:
+        int(key)
+    except ValueError:
+        return False
+    return True
 
 
 def manifest_samples(doc: Mapping, split: str) -> list[Sample]:
@@ -361,44 +427,97 @@ def manifest_samples(doc: Mapping, split: str) -> list[Sample]:
     return out
 
 
+class _Writer:
+    """One background thread that writes files while the caller renders.
+
+    `put` hands over one (path, bytes) pair and waits while the previous
+    one is still being written, so at most one write is in flight. The
+    thread's first error is raised by the next `put` or `drain`. The
+    thread calls no function of this package, so a tracer that patches
+    them (perfbench/tracing.py) sees only the caller's thread.
+    """
+
+    def __init__(self) -> None:
+        self._free = threading.Semaphore(1)
+        self._full = threading.Semaphore(0)
+        self._item: tuple[Path, bytes] | None = None
+        self._error: Exception | None = None
+        self._thread = threading.Thread(target=self._run, name="ilseg-writer", daemon=True)
+        self._thread.start()
+
+    def _run(self) -> None:
+        while True:
+            self._full.acquire()
+            if self._item is None:
+                return
+            path, payload = self._item
+            self._item = None
+            try:
+                if self._error is None:
+                    path.write_bytes(payload)
+            except Exception as e:  # raised again in the caller's thread
+                self._error = e
+            finally:
+                self._free.release()
+
+    def put(self, path: Path, payload: bytes) -> None:
+        self._free.acquire()
+        if self._error is not None:
+            self._free.release()
+            raise self._error
+        self._item = (path, payload)
+        self._full.release()
+
+    def drain(self) -> None:
+        """Wait until every file handed over is on disk."""
+        self._free.acquire()
+        self._free.release()
+        if self._error is not None:
+            raise self._error
+
+    def close(self) -> None:
+        self._free.acquire()
+        self._full.release()
+        self._thread.join()
+
+
 def generate(config: GeneratorConfig, seed: int, out_dir: Path | str) -> dict[str, Path]:
     """Write the four stage datasets plus the fully labeled dataset.
 
     Returns {"stage_1": manifest path, ..., "full": manifest path}.
     Regeneration with identical config and seed is byte-identical.
+    Sample files are written by one background thread while the next
+    sample renders; each manifest is written once its samples are on disk.
     """
     config.validate()
     out_dir = Path(out_dir)
-    manifests: dict[str, Path] = {}
     split_counts = {"train": config.train_count, "val": config.val_count, "test": config.test_count}
-    for stage_idx, cats in enumerate(STAGE_CATEGORIES, start=1):
-        stage_dir = out_dir / f"stage_{stage_idx}"
-        stage_dir.mkdir(parents=True, exist_ok=True)
-        names = {c: CATEGORY_NAMES[c] for c in cats}
-        entries = []
-        for split, count in split_counts.items():
-            for i in range(count):
-                sample = render_sample(config, seed, stage_idx, split, i, cats)
-                rel = f"{split}_{i:04d}.bin"
-                save_sample(sample, stage_dir / rel)
-                entries.append((rel, cats, split))
-        manifest = stage_dir / "manifest.json"
-        write_manifest(manifest, names, entries, seed)
-        manifests[f"stage_{stage_idx}"] = manifest
-
-    full_dir = out_dir / "full"
-    full_dir.mkdir(parents=True, exist_ok=True)
     all_ids = tuple(c.id for c in CATEGORIES)
-    entries = []
-    for split, count in (("val", config.full_val_count), ("test", config.full_test_count)):
-        for i in range(count):
-            sample = render_sample(config, seed, _FULL_TAG, split, i, all_ids)
-            rel = f"{split}_{i:04d}.bin"
-            save_sample(sample, full_dir / rel)
-            entries.append((rel, all_ids, split))
-    manifest = full_dir / "manifest.json"
-    write_manifest(manifest, dict(CATEGORY_NAMES), entries, seed)
-    manifests["full"] = manifest
+    datasets = [
+        (f"stage_{t}", t, cats, {c: CATEGORY_NAMES[c] for c in cats}, split_counts)
+        for t, cats in enumerate(STAGE_CATEGORIES, start=1)
+    ]
+    datasets.append(
+        ("full", _FULL_TAG, all_ids, dict(CATEGORY_NAMES), {"val": config.full_val_count, "test": config.full_test_count})
+    )
+    manifests: dict[str, Path] = {}
+    writer = _Writer()
+    try:
+        for name, tag, cats, names, counts in datasets:
+            ds_dir = out_dir / name
+            ds_dir.mkdir(parents=True, exist_ok=True)
+            entries = []
+            for split, count in counts.items():
+                for i in range(count):
+                    rel = f"{split}_{i:04d}.bin"
+                    # render_sample validated the sample; save_sample would again
+                    writer.put(ds_dir / rel, _encode(render_sample(config, seed, tag, split, i, cats)))
+                    entries.append((rel, cats, split))
+            writer.drain()
+            manifests[name] = ds_dir / "manifest.json"
+            write_manifest(manifests[name], names, entries, seed)
+    finally:
+        writer.close()
     return manifests
 
 

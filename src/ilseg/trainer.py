@@ -663,6 +663,7 @@ def run_stage(
             )
         frozen = M.clone_frozen(prev_model)
         model = M.expand_head(prev_model, cfg.new_categories, seed=_derive_seed(cfg.seed, 29, cfg.stage))
+        del prev_model  # `frozen` and `model` hold their own copies
         bank = prev.bank.copy()
         space = L.LabelSpace(old=tuple(prev.registry), new=cfg.new_categories)
     if cfg.mode == "full":
@@ -805,8 +806,7 @@ def run_ft_baseline(
         bank = Mem.MemoryBank(feature_channels=cfg.model.feature_channels, m0=cfg.momentum_m0, p=cfg.momentum_p)
         space = L.LabelSpace(old=(), new=cfg.new_categories)
     else:
-        prev_model = model_from_checkpoint(prev)
-        model = M.expand_head(prev_model, cfg.new_categories, seed=_derive_seed(cfg.seed, 29, cfg.stage))
+        model = M.expand_head(model_from_checkpoint(prev), cfg.new_categories, seed=_derive_seed(cfg.seed, 29, cfg.stage))
         bank = prev.bank.copy()
         space = L.LabelSpace(old=tuple(prev.registry), new=cfg.new_categories)
 

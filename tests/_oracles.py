@@ -244,3 +244,74 @@ def upsample_nearest2_oracle(x):
         return (g.reshape(b, c, h, 2, w, 2).sum(axis=(3, 5)),)
 
     return out, vjp
+
+
+def render_sample_oracle(config, seed, stage_tag, split, index, annotated):
+    """The generator as first written: every ellipse, overlap test and the
+    texture evaluated over all H*W pixels. Returns (image, labels)."""
+    from ilseg.data import CATEGORIES
+
+    def ellipse_mask(size, cat, cx, cy, scale, grid):
+        ys, xs = grid
+        dx = xs - cx * size
+        dy = ys - cy * size
+        cos_a, sin_a = np.cos(cat.angle), np.sin(cat.angle)
+        u = (dx * cos_a + dy * sin_a) / (cat.radii[0] * scale * size)
+        v = (-dx * sin_a + dy * cos_a) / (cat.radii[1] * scale * size)
+        return u * u + v * v <= 1.0
+
+    size = config.image_size
+    split_tag = {"train": 0, "val": 1, "test": 2}[split]
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(stage_tag, split_tag, index)))
+    ys, xs = np.mgrid[0:size, 0:size].astype(np.float64) + 0.5
+    grid = (ys, xs)
+    area_img = float(size * size)
+
+    while True:
+        masks = None
+        for _ in range(config.max_attempts):
+            gdx = rng.uniform(-config.jitter_px, config.jitter_px)
+            gdy = rng.uniform(-config.jitter_px, config.jitter_px)
+            gscale = rng.uniform(1.0 - config.scale_jitter, 1.0 + config.scale_jitter)
+            trial = []
+            ok = True
+            for cat in CATEGORIES:
+                sdx = rng.uniform(-config.shape_jitter_px, config.shape_jitter_px)
+                sdy = rng.uniform(-config.shape_jitter_px, config.shape_jitter_px)
+                cx = cat.center[0] + (gdx + sdx) / size
+                cy = cat.center[1] + (gdy + sdy) / size
+                mask = ellipse_mask(size, cat, cx, cy, gscale, grid)
+                area = mask.sum() / area_img
+                if not (cat.area_range[0] <= area <= cat.area_range[1]):
+                    ok = False
+                    break
+                trial.append(mask)
+            if not ok:
+                continue
+            for i in range(len(trial)):
+                for j in range(i + 1, len(trial)):
+                    inter = np.logical_and(trial[i], trial[j]).sum()
+                    limit = config.overlap_tolerance * min(trial[i].sum(), trial[j].sum())
+                    if inter > limit:
+                        ok = False
+                        break
+                if not ok:
+                    break
+            if ok:
+                masks = trial
+                break
+        if masks is not None:
+            break
+
+    fx, fy = rng.uniform(0.5, 2.0, size=2)
+    px, py = rng.uniform(0.0, 2 * np.pi, size=2)
+    texture = np.sin(2 * np.pi * fx * xs / size + px) * np.sin(2 * np.pi * fy * ys / size + py)
+    image = config.background_level + config.texture_amplitude * texture
+    shift = config.stage_intensity_shift[stage_tag - 1] if stage_tag >= 1 else 0.0
+    labels = np.zeros((size, size), dtype=np.uint8)
+    for cat, mask in zip(CATEGORIES, masks):
+        image[mask] = cat.intensity
+        if cat.id in annotated:
+            labels[mask] = cat.id
+    image = image + shift + rng.normal(0.0, config.noise_sigma, size=(size, size))
+    return np.clip(image, 0.0, 1.0).astype(np.float32), labels

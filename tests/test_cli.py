@@ -355,3 +355,38 @@ def test_module_invocation_help():
     )
     assert res.returncode == 0
     assert "gen-data" in res.stdout
+
+
+# malformed JSON documents end in exit 2, never a traceback
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        (5, "top level must be an object"),
+        ({"version": 1, "seed": 0, "categories": [], "samples": []}, "categories"),
+        ({"version": 1, "seed": 0, "categories": {"1": "lobe"}, "samples": [1]}, "sample entry"),
+    ],
+)
+def test_eval_malformed_manifest_exits_2(experiment, tmp_path, capsys, doc, message):
+    root, _ = experiment
+    man = tmp_path / "manifest.json"
+    man.write_text(json.dumps(doc))
+    assert CLI.main([
+        "eval",
+        "--checkpoint", str(root / "runs" / "full" / "stage_1.ckpt"),
+        "--manifest", str(man),
+        "--out", str(tmp_path / "e.csv"),
+    ]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert "Traceback" not in err
+
+
+def test_gen_data_non_list_modes_exits_2(tmp_path, capsys):
+    cfg = _write_config(tmp_path / "c.json", modes=5)
+    assert CLI.main(["--config", str(cfg), "gen-data", "--out", str(tmp_path / "x")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "modes must be a list of strings" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "x").exists()

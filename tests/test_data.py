@@ -2,11 +2,17 @@
 
 import hashlib
 import json
+import subprocess
+import sys
+import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from _oracles import render_sample_oracle
 from ilseg import data as D
 
 GEN64 = D.GeneratorConfig(image_size=64, train_count=2, val_count=1, test_count=1,
@@ -148,6 +154,105 @@ def test_generate_is_byte_identical(tmp_path):
     assert _tree_digest(tmp_path / "a") != _tree_digest(tmp_path / "c")
 
 
+@pytest.mark.parametrize("size", [16, 24, 32, 64, 128])
+def test_render_sample_matches_reference_renderer(size):
+    wide = D.GeneratorConfig(image_size=size, jitter_px=size / 3, shape_jitter_px=size / 6,
+                             scale_jitter=0.49, max_attempts=3)
+    for config in (D.GeneratorConfig(image_size=size), wide):
+        for tag in range(5):
+            annotated = tuple(c.id for c in D.CATEGORIES) if tag == 0 else D.STAGE_CATEGORIES[tag - 1]
+            for split in ("train", "val", "test"):
+                for index in range(2):
+                    got = D.render_sample(config, 40 + index, tag, split, index, annotated)
+                    image, labels = render_sample_oracle(config, 40 + index, tag, split, index, annotated)
+                    assert got.image.tobytes() == image.tobytes(), (config, tag, split, index)
+                    assert got.labels.tobytes() == labels.tobytes(), (config, tag, split, index)
+
+
+def _writer_threads():
+    return [t for t in threading.enumerate() if t.name == "ilseg-writer"]
+
+
+def test_generate_manifests_follow_their_samples(tmp_path, monkeypatch):
+    """Each manifest is written only once every sample it lists is on disk."""
+    size = GEN64.image_size
+    write_manifest = D.write_manifest
+
+    def checked(path, categories, entries, seed):
+        for rel, ann, _ in entries:
+            assert (Path(path).parent / rel).stat().st_size == len(D.MAGIC) + 8 + 5 * size * size + 1 + len(ann)
+        write_manifest(path, categories, entries, seed)
+
+    monkeypatch.setattr(D, "write_manifest", checked)
+    manifests = D.generate(GEN64, 3, tmp_path)
+    for path in manifests.values():
+        doc = D.load_manifest(path, check_files=True)
+        for split in ("train", "val", "test"):
+            D.manifest_samples(doc, split)
+    assert not _writer_threads()
+
+
+def test_generate_reraises_a_failed_write_and_stops_the_writer(tmp_path):
+    # a directory where a sample file should go makes that write fail
+    (tmp_path / "stage_2" / "train_0001.bin").mkdir(parents=True)
+    caught = []
+
+    def target():
+        try:
+            D.generate(GEN64, 3, tmp_path)
+        except Exception as e:
+            caught.append(e)
+
+    caller = threading.Thread(target=target)
+    caller.start()
+    caller.join(120)
+    assert not caller.is_alive()
+    assert len(caught) == 1 and isinstance(caught[0], IsADirectoryError)
+    assert not _writer_threads()
+    assert (tmp_path / "stage_1" / "manifest.json").exists()
+    assert not (tmp_path / "stage_2" / "manifest.json").exists()
+    assert not (tmp_path / "full").exists()
+
+
+def test_concurrent_generates_under_fast_thread_switching(tmp_path):
+    """Four generate calls at once, each with its own writer thread, with
+    the interpreter switching threads every 10 us: every tree matches a
+    serial reference, so no write is lost or mixed up."""
+    ref_dir = tmp_path / "ref"
+    ref_dir.mkdir()
+    for i in range(GEN64.train_count):
+        D.save_sample(D.render_sample(GEN64, 3, 1, "train", i, (1,)), ref_dir / f"train_{i:04d}.bin")
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        outs = [tmp_path / f"run{k}" for k in range(4)]
+        workers = [threading.Thread(target=D.generate, args=(GEN64, 3, out)) for out in outs]
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(120)
+        assert not any(w.is_alive() for w in workers)
+    finally:
+        sys.setswitchinterval(old)
+    digests = [_tree_digest(out) for out in outs]
+    assert all(d == digests[0] for d in digests)
+    assert {k: v for k, v in digests[0].items() if k.startswith("stage_1/train_")} == {
+        f"stage_1/{k}": v for k, v in _tree_digest(ref_dir).items()
+    }
+    assert not _writer_threads()
+
+
+def test_cli_import_loads_no_executor_or_queue_modules():
+    code = (
+        "import json, sys\n"
+        "import ilseg.cli\n"
+        "print(json.dumps(sorted(m for m in sys.modules if m == 'queue' or m.startswith('concurrent'))))\n"
+    )
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    assert json.loads(res.stdout) == []
+
+
 def test_generator_config_validation():
     with pytest.raises(ValueError):
         D.GeneratorConfig(image_size=12).validate()
@@ -260,3 +365,56 @@ def test_iterate_batches_rejects_bad_arguments(tmp_path):
         list(D.iterate_batches(samples, 0, seed=9))
     with pytest.raises(ValueError):
         list(D.iterate_batches([], 2, seed=9))
+
+
+# arbitrary input reaches the caller as SampleFormatError, or loads
+
+_json = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=8,
+)
+_entry = _json | st.fixed_dictionaries({
+    "path": st.text(max_size=8) | _json,
+    "annotated": st.lists(st.integers(0, 9), max_size=3) | _json,
+    "split": st.sampled_from(["train", "val", "test"]) | _json,
+})
+_manifest = _json | st.fixed_dictionaries({
+    "version": st.just(1) | _json,
+    "seed": _json,
+    "categories": st.dictionaries(st.integers(0, 9).map(str) | st.text(max_size=3), st.text(max_size=5) | _json,
+                                  max_size=3) | _json,
+    "samples": st.lists(_entry, max_size=3) | _json,
+})
+
+
+@settings(deadline=None, max_examples=200)
+@given(doc=_manifest | st.binary(max_size=64))
+def test_load_manifest_raises_only_sample_format_error(tmp_path_factory, doc):
+    path = tmp_path_factory.mktemp("man") / "manifest.json"
+    path.write_bytes(doc if isinstance(doc, bytes) else json.dumps(doc).encode())
+    for check_files in (False, True):
+        try:
+            D.load_manifest(path, check_files=check_files)
+        except D.SampleFormatError:
+            pass
+
+
+_VALID = D._encode(D.Sample(image=np.linspace(0, 1, 12, dtype=np.float32).reshape(3, 4),
+                            labels=np.array([[0, 1, 1, 0]] * 3, dtype=np.uint8), annotated=(1,)))
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    raw=st.binary(max_size=96)
+    | st.builds(lambda pos, b: _VALID[:pos] + bytes([b]) + _VALID[pos + 1 :],
+                st.integers(0, len(_VALID) - 1), st.integers(0, 255))
+    | st.integers(0, len(_VALID) + 2).map(lambda n: (_VALID + b"\0\0")[:n])
+)
+def test_load_sample_raises_only_sample_format_error(tmp_path_factory, raw):
+    path = tmp_path_factory.mktemp("smp") / "s.bin"
+    path.write_bytes(raw)
+    try:
+        D.load_sample(path)
+    except D.SampleFormatError:
+        pass
