@@ -159,6 +159,7 @@ def _train_mode(doc: dict, mode: str, root: Path, seed: int, resume: bool, args)
             raise ConfigError(f"joint config: {e}") from None
         final = run_dir / f"stage_{n}.ckpt"
         if final.exists():
+            _load_complete(final, jcfg)
             _say(args, f"{final} already complete")
             return
         manifests = [root / "data" / f"stage_{t}" / "manifest.json" for t in range(1, n + 1)]
@@ -173,9 +174,7 @@ def _train_mode(doc: dict, mode: str, root: Path, seed: int, resume: bool, args)
         cfg = _stage_config(doc, i, mode, root, seed)
         final = run_dir / f"stage_{cfg.stage}.ckpt"
         if final.exists():
-            loaded = TR.load_checkpoint(final)
-            if loaded.stage != cfg.stage or loaded.mode != mode:
-                raise TR.LineageError(f"{final} holds stage {loaded.stage} mode {loaded.mode}")
+            loaded = _load_complete(final, cfg)
             expect = (prev.registry if prev else ()) + cfg.new_categories
             if loaded.registry != expect:
                 raise TR.LineageError(f"{final} covers categories {loaded.registry}, expected {expect}")
@@ -187,6 +186,15 @@ def _train_mode(doc: dict, mode: str, root: Path, seed: int, resume: bool, args)
         resume_ckpt = _maybe_resume(run_dir / f"stage_{cfg.stage}.epoch.ckpt", resume)
         prev = _carry(runner(prev, cfg, run_dir=run_dir, resume_from=resume_ckpt))
         _say(args, f"wrote {final}")
+
+
+def _load_complete(final: Path, cfg: TR.StageConfig) -> TR.Checkpoint:
+    """A finished stage that is skipped must have been trained as `cfg` says."""
+    loaded = TR.load_checkpoint(final)
+    if loaded.stage != cfg.stage or loaded.mode != cfg.mode:
+        raise TR.LineageError(f"{final} holds stage {loaded.stage} mode {loaded.mode}")
+    TR._check_stage_config(cfg, loaded.stage_config, str(final))
+    return loaded
 
 
 def _carry(ckpt: TR.Checkpoint) -> TR.Checkpoint:

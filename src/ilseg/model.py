@@ -118,6 +118,18 @@ def _conv_spec(cfg: ModelConfig) -> list[tuple[str, int, int, int]]:
     return spec
 
 
+def _param_shapes(cfg: ModelConfig, n_categories: int) -> dict[str, tuple[int, ...]]:
+    """Name and shape of every parameter, in initialization order."""
+    shapes: dict[str, tuple[int, ...]] = {}
+    for name, cin, cout, _stride in _conv_spec(cfg):
+        shapes[f"{name}_w"] = (cout, cin, 3, 3)
+        for part in ("b", "g", "beta"):
+            shapes[f"{name}_{part}"] = (cout,)
+    shapes["head_w"] = (1 + n_categories, cfg.feature_channels, 1, 1)
+    shapes["head_b"] = (1 + n_categories,)
+    return shapes
+
+
 def build(config: ModelConfig, categories: Sequence[int], seed: int = 0) -> SegModel:
     """Initialize a model whose head covers `categories` (plus background).
 
@@ -134,15 +146,13 @@ def build(config: ModelConfig, categories: Sequence[int], seed: int = 0) -> SegM
         raise ValueError("build: category id 0 is reserved for background")
     rng = np.random.default_rng(seed)
     params: dict[str, Tensor] = {}
-    for name, cin, cout, _stride in _conv_spec(config):
-        std = float(np.sqrt(2.0 / (cin * 9)))
-        params[f"{name}_w"] = _leaf(rng.normal(0.0, std, size=(cout, cin, 3, 3)))
-        params[f"{name}_b"] = _leaf(np.zeros(cout))
-        params[f"{name}_g"] = _leaf(np.ones(cout))
-        params[f"{name}_beta"] = _leaf(np.zeros(cout))
-    n_out = 1 + len(categories)
-    params["head_w"] = _leaf(rng.normal(0.0, config.head_init_std, size=(n_out, config.feature_channels, 1, 1)))
-    params["head_b"] = _leaf(np.zeros(n_out))
+    for name, shape in _param_shapes(config, len(categories)).items():
+        if name == "head_w":
+            params[name] = _leaf(rng.normal(0.0, config.head_init_std, size=shape))
+        elif name.endswith("_w"):
+            params[name] = _leaf(rng.normal(0.0, float(np.sqrt(2.0 / (shape[1] * 9))), size=shape))
+        else:
+            params[name] = _leaf(np.ones(shape) if name.endswith("_g") else np.zeros(shape))
     return SegModel(config=config, params=params, registry=categories)
 
 

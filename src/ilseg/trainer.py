@@ -1,21 +1,28 @@
-"""Stage training: optimization loop, baselines, checkpoints, logs.
+"""Stage training: one optimization loop for every mode, checkpoints, logs.
 
-One stage expands the previous model's head with the stage's categories,
-freezes a copy of the previous model for pseudo-labels and distillation,
-and optimizes
+Every mode runs the same loop: forward, loss, backward, optimizer step,
+log record, and a checkpoint after each epoch. Only the loss differs:
 
-    total = seg + lambda_kd * kd + lambda_mem * mem
-                + lambda_same * same + lambda_oppo * oppo
+- "full" expands the previous stage's head with the stage's categories,
+  freezes a copy of the previous model for pseudo-labels and
+  distillation, and optimizes
 
-where the last three terms exist only in mode "full". Mode "womem" keeps
-remapping and distillation but drops the prototype memory; mode "ft"
-fine-tunes with plain supervision that treats unlabeled structures as
-background; mode "joint" trains one model over all stage datasets at
-once with per-sample background merging.
+      total = seg + lambda_kd * kd + lambda_mem * mem
+                  + lambda_same * same + lambda_oppo * oppo
+
+  on the remapped outputs; after each step the new categories'
+  prototypes move by EMA.
+- "womem" keeps remapping and distillation but drops the prototype
+  memory (the last three terms and the EMA).
+- "ft" fine-tunes with plain supervision over every channel, treating
+  unlabeled structures as background.
+- "joint" trains one model over all stage datasets at once, averaging
+  each sample's merged-background loss.
 
 Every random draw is keyed by (seed, stage, epoch, position), so runs
 are bitwise reproducible and a run resumed from an epoch checkpoint
-finishes byte-identical to an uninterrupted one.
+finishes byte-identical to an uninterrupted one. A resumed checkpoint
+must carry the same stage config, apart from the manifest path.
 
 Checkpoint layout (little endian): magic "ILCKPT1\\0", u32 version,
 u32 header length, JSON header (registry, config echo, block table,
@@ -479,6 +486,13 @@ def load_checkpoint(path: Path | str) -> Checkpoint:
         categories = {int(k): v for k, v in header["categories"].items()}
     except (TypeError, ValueError) as e:
         raise CheckpointFormatError(f"{path}: malformed header: {e}") from None
+    # the payload checksum does not cover block names, so match them to the model;
+    # an optimizer moment may be absent as a whole (SGD writes no opt/v)
+    shapes = M._param_shapes(model_config, len(registry))
+    for prefix, blocks in (("param", params), ("opt/m", opt_state["m"]), ("opt/v", opt_state["v"])):
+        bad = sorted(k for k in blocks.keys() | shapes.keys() if k not in blocks or blocks[k].shape != shapes.get(k))
+        if bad and (blocks or prefix == "param"):
+            raise CheckpointFormatError(f"{path}: {prefix} blocks do not match the model at {bad}")
     return Checkpoint(
         stage=header["stage"],
         mode=header["mode"],
@@ -556,6 +570,15 @@ def _category_names(cfg: StageConfig, prev: Checkpoint | None) -> dict[int, str]
     return names
 
 
+def _check_stage_config(cfg: StageConfig, saved: Mapping, where: str) -> None:
+    """Raise LineageError unless the `stage_config` of a checkpoint is
+    `cfg`'s. The manifest is left out: the header only echoes its path."""
+    want, missing = cfg.to_dict(), object()
+    keys = [k for k in sorted(want.keys() | saved.keys()) if k != "manifest" and want.get(k, missing) != saved.get(k, missing)]
+    if keys:
+        raise LineageError(f"{where} was trained with another stage config; it differs in {', '.join(keys)}")
+
+
 def _resume_state(cfg: StageConfig, model: SegModel, opt, bank: Mem.MemoryBank, resume_from: Checkpoint | None) -> tuple[int, Mem.MemoryBank]:
     if resume_from is None:
         return 0, bank
@@ -567,6 +590,7 @@ def _resume_state(cfg: StageConfig, model: SegModel, opt, bank: Mem.MemoryBank, 
         raise LineageError("resume checkpoint already covers every epoch")
     if tuple(resume_from.registry) != model.registry:
         raise LineageError(f"resume registry {resume_from.registry} != {model.registry}")
+    _check_stage_config(cfg, resume_from.stage_config, "resume checkpoint")
     for k, p in model.params.items():
         p.data[...] = resume_from.params[k]
     opt.load_state(resume_from.optimizer)
@@ -636,145 +660,7 @@ def run_stage(
     cfg.validate()
     if cfg.mode not in ("full", "womem"):
         raise ValueError(f"run_stage handles modes full/womem, got {cfg.mode!r}; use the dedicated baseline entry points")
-    if cfg.stage > 1 and prev is None:
-        raise LineageError(f"stage {cfg.stage} requires the stage {cfg.stage - 1} checkpoint")
-    if prev is not None:
-        if prev.stage != cfg.stage - 1:
-            raise LineageError(f"previous checkpoint is stage {prev.stage}, expected {cfg.stage - 1}")
-        clash = set(cfg.new_categories) & set(prev.registry)
-        if clash:
-            raise ValueError(f"categories already learned in earlier stages: {sorted(clash)}")
-
-    samples = _load_stage_samples(cfg)
-    names = _category_names(cfg, prev)
-    n_batches = math.ceil(len(samples) / cfg.batch_size)
-    total_iters = cfg.epochs * n_batches
-
-    frozen: FrozenModel | None = None
-    if prev is None:
-        model = M.build(cfg.model, cfg.new_categories, seed=_derive_seed(cfg.seed, 29, cfg.stage))
-        bank = Mem.MemoryBank(feature_channels=cfg.model.feature_channels, m0=cfg.momentum_m0, p=cfg.momentum_p)
-        space = L.LabelSpace(old=(), new=cfg.new_categories)
-    else:
-        prev_model = model_from_checkpoint(prev)
-        if prev_model.n_categories + 1 > _TEACHER_MAX_CHANNELS:
-            raise ValueError(
-                f"the previous head has {prev_model.n_categories + 1} channels; pseudo-labels hold at most {_TEACHER_MAX_CHANNELS}"
-            )
-        frozen = M.clone_frozen(prev_model)
-        model = M.expand_head(prev_model, cfg.new_categories, seed=_derive_seed(cfg.seed, 29, cfg.stage))
-        del prev_model  # `frozen` and `model` hold their own copies
-        bank = prev.bank.copy()
-        space = L.LabelSpace(old=tuple(prev.registry), new=cfg.new_categories)
-    if cfg.mode == "full":
-        if prev is not None:
-            missing = [c for c in prev.registry if not bank.has(c)]
-            if missing:
-                raise LineageError(f"previous checkpoint lacks prototypes for {missing}; full mode needs a full-mode lineage")
-        bank.m0, bank.p = cfg.momentum_m0, cfg.momentum_p
-        bank.add_categories(cfg.new_categories, total=total_iters)
-
-    opt = _make_optimizer(cfg, model.params)
-    start_epoch, bank = _resume_state(cfg, model, opt, bank, resume_from)
-
-    run_dir = Path(run_dir) if run_dir is not None else None
-    log_path = run_dir / f"stage_{cfg.stage}.log.jsonl" if run_dir else None
-    log = _StageLog(log_path, start_epoch)
-    log_ref = log_path.name if log_path else None
-
-    data_seed = _derive_seed(cfg.seed, 23, cfg.stage)
-    base_lr = cfg.resolved_lr()
-    use_memory = cfg.mode == "full"
-    old_channels = {c: space.channel_of(c) for c in space.old}
-    frozen_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-    it = start_epoch * n_batches
-    for epoch in range(start_epoch, cfg.epochs):
-        lr = poly_lr(base_lr, epoch, cfg.epochs, cfg.lr_power)
-        batches = D.iterate_batches(samples, cfg.batch_size, data_seed, augment=cfg.augment, n_epochs=1, start_epoch=epoch)
-        for pos, (_, images, labels, _, idx) in enumerate(batches):
-            feats, logits = M.forward(model, images)
-
-            old_probs = None
-            old_argmax = None
-            if frozen is not None:
-                if not cfg.augment and all(i in frozen_cache for i in idx):
-                    old_probs = np.concatenate([frozen_cache[i][0] for i in idx], axis=0)
-                    old_argmax = np.concatenate([frozen_cache[i][1] for i in idx], axis=0)
-                else:
-                    _, f_logits = M.forward(frozen, images)
-                    fl = f_logits.data
-                    ex = np.exp(fl - fl.max(axis=1, keepdims=True))
-                    old_probs = ex / ex.sum(axis=1, keepdims=True)
-                    old_argmax = old_probs.argmax(axis=1).astype(np.uint8)
-                    if not cfg.augment:
-                        for j, i in enumerate(idx):
-                            frozen_cache[i] = (old_probs[j : j + 1].copy(), old_argmax[j : j + 1].copy())
-
-            tilde = L.remap_tilde(logits, space)
-            seg = L.seg_loss(tilde, labels, space, cfg.ce_weight, cfg.dice_weight)
-            total = seg
-            kd = mem_l = same_l = oppo_l = 0.0
-            if frozen is not None and cfg.lambda_kd > 0:
-                hat = L.remap_hat(logits, space)
-                kd = L.kd_loss(hat, old_probs, cfg.kd_temperature)
-                total = total + kd * cfg.lambda_kd
-            if use_memory:
-                if cfg.lambda_mem > 0:
-                    mem_l = Mem.mem_loss(bank, *model.head())
-                    total = total + mem_l * cfg.lambda_mem
-                if cfg.lambda_same > 0 and space.old:
-                    old_masks = {c: old_argmax == ch for c, ch in old_channels.items()}
-                    same_l = Mem.same_loss(bank, feats, old_masks)
-                    total = total + same_l * cfg.lambda_same
-                if cfg.lambda_oppo > 0:
-                    rng = np.random.default_rng(np.random.SeedSequence(entropy=cfg.seed, spawn_key=(31, cfg.stage, epoch, pos)))
-                    bg = _sample_background(labels, old_argmax == 0 if old_argmax is not None else None, cfg.bg_sample_cap, rng)
-                    new_masks = {c: labels == c for c in space.new}
-                    oppo_l = Mem.oppo_loss(bank, feats, new_masks, bg, cfg.cosine_margin)
-                    total = total + oppo_l * cfg.lambda_oppo
-
-            for p in model.params.values():
-                p.grad = None
-            T.backward(total)
-            opt.step(model.params, lr)
-
-            m_k = None
-            if use_memory:
-                m_k = Mem.momentum(bank.k, bank.total, bank.m0, bank.p)
-                for cat in space.new:
-                    vec, n = Mem.class_mean(feats.data, labels == cat)
-                    if n:
-                        Mem.ema_update(bank, cat, vec, m_k)
-                bank.k += 1
-
-            log.record(
-                stage=cfg.stage,
-                epoch=epoch,
-                iter=it,
-                lr=lr,
-                m_k=m_k,
-                loss_total=_float(total),
-                loss_seg=_float(seg),
-                loss_kd=_float(kd),
-                loss_mem=_float(mem_l),
-                loss_same=_float(same_l),
-                loss_oppo=_float(oppo_l),
-            )
-            it += 1
-
-        if run_dir is not None and epoch + 1 < cfg.epochs:
-            save_checkpoint(_epoch_ckpt(cfg, model, opt, bank, names, epoch + 1, log_ref), run_dir / f"stage_{cfg.stage}.epoch.ckpt")
-
-    if use_memory:
-        Mem.finalize_stage(bank)
-    ckpt = _epoch_ckpt(cfg, model, opt, bank, names, cfg.epochs, log_ref)
-    if run_dir is not None:
-        save_checkpoint(ckpt, run_dir / f"stage_{cfg.stage}.ckpt")
-        partial = run_dir / f"stage_{cfg.stage}.epoch.ckpt"
-        if partial.exists():
-            partial.unlink()
-    return ckpt
+    return _train(cfg, *_chain_stage(prev, cfg), run_dir, resume_from)
 
 
 def run_ft_baseline(
@@ -792,68 +678,7 @@ def run_ft_baseline(
     cfg.validate()
     if cfg.mode != "ft":
         raise ValueError(f"run_ft_baseline requires mode 'ft', got {cfg.mode!r}")
-    if cfg.stage > 1 and prev is None:
-        raise LineageError(f"stage {cfg.stage} requires the stage {cfg.stage - 1} checkpoint")
-    if prev is not None and prev.stage != cfg.stage - 1:
-        raise LineageError(f"previous checkpoint is stage {prev.stage}, expected {cfg.stage - 1}")
-
-    samples = _load_stage_samples(cfg)
-    names = _category_names(cfg, prev)
-    n_batches = math.ceil(len(samples) / cfg.batch_size)
-
-    if prev is None:
-        model = M.build(cfg.model, cfg.new_categories, seed=_derive_seed(cfg.seed, 29, cfg.stage))
-        bank = Mem.MemoryBank(feature_channels=cfg.model.feature_channels, m0=cfg.momentum_m0, p=cfg.momentum_p)
-        space = L.LabelSpace(old=(), new=cfg.new_categories)
-    else:
-        model = M.expand_head(model_from_checkpoint(prev), cfg.new_categories, seed=_derive_seed(cfg.seed, 29, cfg.stage))
-        bank = prev.bank.copy()
-        space = L.LabelSpace(old=tuple(prev.registry), new=cfg.new_categories)
-
-    opt = _make_optimizer(cfg, model.params)
-    start_epoch, bank = _resume_state(cfg, model, opt, bank, resume_from)
-    run_dir = Path(run_dir) if run_dir is not None else None
-    log_path = run_dir / f"stage_{cfg.stage}.log.jsonl" if run_dir else None
-    log = _StageLog(log_path, start_epoch)
-    log_ref = log_path.name if log_path else None
-    data_seed = _derive_seed(cfg.seed, 23, cfg.stage)
-    base_lr = cfg.resolved_lr()
-
-    it = start_epoch * n_batches
-    for epoch in range(start_epoch, cfg.epochs):
-        lr = poly_lr(base_lr, epoch, cfg.epochs, cfg.lr_power)
-        batches = D.iterate_batches(samples, cfg.batch_size, data_seed, augment=cfg.augment, n_epochs=1, start_epoch=epoch)
-        for _, images, labels, _, _ in batches:
-            _, logits = M.forward(model, images)
-            seg = L.full_softmax_loss(logits, labels, space, cfg.ce_weight, cfg.dice_weight)
-            for p in model.params.values():
-                p.grad = None
-            T.backward(seg)
-            opt.step(model.params, lr)
-            log.record(
-                stage=cfg.stage,
-                epoch=epoch,
-                iter=it,
-                lr=lr,
-                m_k=None,
-                loss_total=_float(seg),
-                loss_seg=_float(seg),
-                loss_kd=0.0,
-                loss_mem=0.0,
-                loss_same=0.0,
-                loss_oppo=0.0,
-            )
-            it += 1
-        if run_dir is not None and epoch + 1 < cfg.epochs:
-            save_checkpoint(_epoch_ckpt(cfg, model, opt, bank, names, epoch + 1, log_ref), run_dir / f"stage_{cfg.stage}.epoch.ckpt")
-
-    ckpt = _epoch_ckpt(cfg, model, opt, bank, names, cfg.epochs, log_ref)
-    if run_dir is not None:
-        save_checkpoint(ckpt, run_dir / f"stage_{cfg.stage}.ckpt")
-        partial = run_dir / f"stage_{cfg.stage}.epoch.ckpt"
-        if partial.exists():
-            partial.unlink()
-    return ckpt
+    return _train(cfg, *_chain_stage(prev, cfg), run_dir, resume_from)
 
 
 def run_joint(
@@ -874,72 +699,182 @@ def run_joint(
     if not manifests:
         raise ValueError("run_joint: no manifests")
     names: dict[int, str] = {}
-    registry: list[int] = []
     samples: list[D.Sample] = []
     for man in manifests:
         doc = D.load_manifest(man)
         for cid, name in doc["categories"].items():
-            if cid in names and names[cid] != name:
+            if names.setdefault(cid, name) != name:
                 raise ValueError(f"category {cid} named {name!r} in {man} but {names[cid]!r} elsewhere")
-            if cid not in names:
-                names[cid] = name
-                registry.append(cid)
         part = D.manifest_samples(doc, "train")
         if not part:
             raise ValueError(f"{man}: no training samples")
         samples.extend(part)
-    registry_t = tuple(registry)
-
-    model = M.build(cfg.model, registry_t, seed=_derive_seed(cfg.seed, 29, 0))
+    registry = tuple(names)
+    model = M.build(cfg.model, registry, seed=_derive_seed(cfg.seed, 29, 0))
     bank = Mem.MemoryBank(feature_channels=cfg.model.feature_channels, m0=cfg.momentum_m0, p=cfg.momentum_p)
+
+    def loss(bank, batch, feats, logits, epoch, pos):
+        per_sample: Tensor | None = None
+        for b, annotated in enumerate(batch[3]):
+            lg = T.narrow(logits, 0, b, 1)
+            term = L.merged_sample_loss(lg, batch[2][b : b + 1], registry, annotated, cfg.ce_weight, cfg.dice_weight)
+            per_sample = term if per_sample is None else per_sample + term
+        seg = per_sample * (1.0 / len(batch[3]))
+        return seg, seg, 0.0, 0.0, 0.0, 0.0
+
+    return _train(cfg, samples, names, model, bank, loss, run_dir, resume_from)
+
+
+def _chain_stage(prev: Checkpoint | None, cfg: StageConfig):
+    """Lineage checks and starting state of one stage of a full, womem or
+    ft chain: (samples, category names, model, bank, loss)."""
+    if cfg.stage > 1 and prev is None:
+        raise LineageError(f"stage {cfg.stage} requires the stage {cfg.stage - 1} checkpoint")
+    if prev is not None:
+        if prev.stage != cfg.stage - 1:
+            raise LineageError(f"previous checkpoint is stage {prev.stage}, expected {cfg.stage - 1}")
+        clash = set(cfg.new_categories) & set(prev.registry)
+        if clash:
+            raise ValueError(f"categories already learned in earlier stages: {sorted(clash)}")
+
+    samples = _load_stage_samples(cfg)
+    names = _category_names(cfg, prev)
+    frozen: FrozenModel | None = None
+    if prev is None:
+        model = M.build(cfg.model, cfg.new_categories, seed=_derive_seed(cfg.seed, 29, cfg.stage))
+        bank = Mem.MemoryBank(feature_channels=cfg.model.feature_channels, m0=cfg.momentum_m0, p=cfg.momentum_p)
+    else:
+        prev_model = model_from_checkpoint(prev)
+        if cfg.mode != "ft":
+            if prev_model.n_categories + 1 > _TEACHER_MAX_CHANNELS:
+                raise ValueError(
+                    f"the previous head has {prev_model.n_categories + 1} channels; pseudo-labels hold at most {_TEACHER_MAX_CHANNELS}"
+                )
+            frozen = M.clone_frozen(prev_model)
+        model = M.expand_head(prev_model, cfg.new_categories, seed=_derive_seed(cfg.seed, 29, cfg.stage))
+        del prev_model  # `frozen` and `model` hold their own copies
+        bank = prev.bank.copy()
+    space = L.LabelSpace(old=tuple(prev.registry) if prev else (), new=cfg.new_categories)
+    if cfg.mode == "full":
+        missing = [c for c in space.old if not bank.has(c)]
+        if missing:
+            raise LineageError(f"previous checkpoint lacks prototypes for {missing}; full mode needs a full-mode lineage")
+        bank.m0, bank.p = cfg.momentum_m0, cfg.momentum_p
+        bank.add_categories(cfg.new_categories, total=cfg.epochs * math.ceil(len(samples) / cfg.batch_size))
+
+    if cfg.mode == "ft":
+
+        def loss(bank, batch, feats, logits, epoch, pos):
+            seg = L.full_softmax_loss(logits, batch[2], space, cfg.ce_weight, cfg.dice_weight)
+            return seg, seg, 0.0, 0.0, 0.0, 0.0
+
+    else:
+        loss = _distill_loss(cfg, model, frozen, space)
+    return samples, names, model, bank, loss
+
+
+def _distill_loss(cfg: StageConfig, model: SegModel, frozen: FrozenModel | None, space: L.LabelSpace):
+    """The full and womem loss: remapped segmentation, distillation against
+    the frozen previous model, and in full mode the memory terms. Without
+    augmentation the teacher's output for each sample is computed once."""
+    old_channels = {c: space.channel_of(c) for c in space.old}
+    cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+
+    def loss(bank, batch, feats, logits, epoch, pos):
+        _, images, labels, _, idx = batch
+        old_probs = old_argmax = None
+        if frozen is not None:
+            if not cfg.augment and all(i in cache for i in idx):
+                old_probs = np.concatenate([cache[i][0] for i in idx], axis=0)
+                old_argmax = np.concatenate([cache[i][1] for i in idx], axis=0)
+            else:
+                _, f_logits = M.forward(frozen, images)
+                fl = f_logits.data
+                ex = np.exp(fl - fl.max(axis=1, keepdims=True))
+                old_probs = ex / ex.sum(axis=1, keepdims=True)
+                old_argmax = old_probs.argmax(axis=1).astype(np.uint8)
+                if not cfg.augment:
+                    for j, i in enumerate(idx):
+                        cache[i] = (old_probs[j : j + 1].copy(), old_argmax[j : j + 1].copy())
+
+        seg = L.seg_loss(L.remap_tilde(logits, space), labels, space, cfg.ce_weight, cfg.dice_weight)
+        total = seg
+        kd = mem_l = same_l = oppo_l = 0.0
+        if frozen is not None and cfg.lambda_kd > 0:
+            kd = L.kd_loss(L.remap_hat(logits, space), old_probs, cfg.kd_temperature)
+            total = total + kd * cfg.lambda_kd
+        if cfg.mode == "full":
+            if cfg.lambda_mem > 0:
+                mem_l = Mem.mem_loss(bank, *model.head())
+                total = total + mem_l * cfg.lambda_mem
+            if cfg.lambda_same > 0 and space.old:
+                old_masks = {c: old_argmax == ch for c, ch in old_channels.items()}
+                same_l = Mem.same_loss(bank, feats, old_masks)
+                total = total + same_l * cfg.lambda_same
+            if cfg.lambda_oppo > 0:
+                rng = np.random.default_rng(np.random.SeedSequence(entropy=cfg.seed, spawn_key=(31, cfg.stage, epoch, pos)))
+                bg = _sample_background(labels, old_argmax == 0 if old_argmax is not None else None, cfg.bg_sample_cap, rng)
+                new_masks = {c: labels == c for c in space.new}
+                oppo_l = Mem.oppo_loss(bank, feats, new_masks, bg, cfg.cosine_margin)
+                total = total + oppo_l * cfg.lambda_oppo
+        return total, seg, kd, mem_l, same_l, oppo_l
+
+    return loss
+
+
+def _train(
+    cfg: StageConfig,
+    samples: list[D.Sample],
+    names: dict[int, str],
+    model: SegModel,
+    bank: Mem.MemoryBank,
+    loss,
+    run_dir: Path | str | None,
+    resume_from: Checkpoint | None,
+) -> Checkpoint:
+    """The optimization loop of every mode. `loss(bank, batch, feats,
+    logits, epoch, pos)` returns (total, seg, kd, mem, same, oppo): the
+    total is differentiated, and all six are logged."""
     opt = _make_optimizer(cfg, model.params)
     start_epoch, bank = _resume_state(cfg, model, opt, bank, resume_from)
-
     run_dir = Path(run_dir) if run_dir is not None else None
     log_path = run_dir / f"stage_{cfg.stage}.log.jsonl" if run_dir else None
     log = _StageLog(log_path, start_epoch)
     log_ref = log_path.name if log_path else None
-    data_seed = _derive_seed(cfg.seed, 23, 0)
+    # a joint run keys its batches, like its initialization, by stage 0
+    data_seed = _derive_seed(cfg.seed, 23, 0 if cfg.mode == "joint" else cfg.stage)
     base_lr = cfg.resolved_lr()
-    n_batches = math.ceil(len(samples) / cfg.batch_size)
 
-    it = start_epoch * n_batches
+    it = start_epoch * math.ceil(len(samples) / cfg.batch_size)
     for epoch in range(start_epoch, cfg.epochs):
         lr = poly_lr(base_lr, epoch, cfg.epochs, cfg.lr_power)
         batches = D.iterate_batches(samples, cfg.batch_size, data_seed, augment=cfg.augment, n_epochs=1, start_epoch=epoch)
-        for _, images, labels, annots, _ in batches:
-            _, logits = M.forward(model, images)
-            per_sample: Tensor | None = None
-            for b, annotated in enumerate(annots):
-                lg = T.narrow(logits, 0, b, 1)
-                term = L.merged_sample_loss(lg, labels[b : b + 1], registry_t, annotated, cfg.ce_weight, cfg.dice_weight)
-                per_sample = term if per_sample is None else per_sample + term
-            seg = per_sample * (1.0 / len(annots))
+        for pos, batch in enumerate(batches):
+            feats, logits = M.forward(model, batch[1])
+            terms = loss(bank, batch, feats, logits, epoch, pos)
             for p in model.params.values():
                 p.grad = None
-            T.backward(seg)
+            T.backward(terms[0])
             opt.step(model.params, lr)
-            log.record(
-                stage=cfg.stage,
-                epoch=epoch,
-                iter=it,
-                lr=lr,
-                m_k=None,
-                loss_total=_float(seg),
-                loss_seg=_float(seg),
-                loss_kd=0.0,
-                loss_mem=0.0,
-                loss_same=0.0,
-                loss_oppo=0.0,
-            )
+
+            m_k = None
+            if cfg.mode == "full":
+                m_k = Mem.momentum(bank.k, bank.total, bank.m0, bank.p)
+                for cat in cfg.new_categories:
+                    vec, n = Mem.class_mean(feats.data, batch[2] == cat)
+                    if n:
+                        Mem.ema_update(bank, cat, vec, m_k)
+                bank.k += 1
+            log.record(stage=cfg.stage, epoch=epoch, iter=it, lr=lr, m_k=m_k, **dict(zip(LOG_FIELDS[5:], map(_float, terms))))
             it += 1
+
         if run_dir is not None and epoch + 1 < cfg.epochs:
             save_checkpoint(_epoch_ckpt(cfg, model, opt, bank, names, epoch + 1, log_ref), run_dir / f"stage_{cfg.stage}.epoch.ckpt")
 
+    if cfg.mode == "full":
+        Mem.finalize_stage(bank)
     ckpt = _epoch_ckpt(cfg, model, opt, bank, names, cfg.epochs, log_ref)
     if run_dir is not None:
         save_checkpoint(ckpt, run_dir / f"stage_{cfg.stage}.ckpt")
-        partial = run_dir / f"stage_{cfg.stage}.epoch.ckpt"
-        if partial.exists():
-            partial.unlink()
+        (run_dir / f"stage_{cfg.stage}.epoch.ckpt").unlink(missing_ok=True)
     return ckpt

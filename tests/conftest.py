@@ -86,3 +86,8 @@ def rewrite_checkpoint_header(src, dst, edit):
     head = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
     Path(dst).write_bytes(raw[:8] + struct.pack("<II", 1, len(head)) + head + raw[16 + head_len :])
     return dst
+
+
+def rename_block(header, old, new):
+    """Header edit: give the block named `old` the name `new`."""
+    next(b for b in header["blocks"] if b["name"] == old)["name"] = new

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import rewrite_checkpoint_header
+from conftest import rename_block, rewrite_checkpoint_header, run_until_crash
 from ilseg import cli as CLI
 
 BASE_DATA = {
@@ -159,6 +159,43 @@ def test_train_artifacts_and_skip_path(experiment, capsys):
     assert (root / "runs" / "full" / "stage_2.ckpt").read_bytes() == before
 
 
+@pytest.mark.parametrize("mode, final", [("full", "stage_1.ckpt"), ("joint", "stage_2.ckpt")])
+def test_train_rerun_with_another_seed_is_refused(experiment, tmp_path, capsys, mode, final):
+    root, cfg = experiment
+    spot = tmp_path / "spot"
+    shutil.copytree(root / "data", spot / "data")
+    if mode == "full":
+        shutil.copytree(root / "runs" / "full", spot / "runs" / "full")
+    else:
+        assert CLI.main(["--quiet", "--config", str(cfg), "train", "--mode", mode, "--out", str(spot)]) == 0
+    before = _tree_digest(spot)
+    capsys.readouterr()
+    assert CLI.main(["--config", str(cfg), "train", "--mode", mode, "--out", str(spot)]) == 0
+    assert "already complete" in capsys.readouterr().out
+    assert CLI.main(["--config", str(cfg), "--seed", "9", "train", "--mode", mode, "--out", str(spot)]) == 3
+    out, err = capsys.readouterr()
+    assert "already complete" not in out
+    assert err == f"error: {spot / 'runs' / mode / final} was trained with another stage config; it differs in seed\n"
+    assert _tree_digest(spot) == before
+
+
+def test_train_resume_after_a_config_edit_is_refused(experiment, tmp_path, capsys):
+    root, _ = experiment
+    spot = tmp_path / "spot"
+    shutil.copytree(root / "data", spot / "data")
+    stages = [{"new_categories": [1], "epochs": 2, "lr": 0.001}, {"new_categories": [2], "epochs": 1, "lr": 0.001}]
+    cfg = _write_config(tmp_path / "c.json", stages=stages)
+    train = ["--quiet", "--config", str(cfg), "train", "--out", str(spot)]
+    run_until_crash(lambda prev, c, run_dir: CLI.main(train), None, None, spot, crash_after=1)
+    before = _tree_digest(spot)
+    assert (spot / "runs" / "full" / "stage_1.epoch.ckpt").exists()
+    stages[0]["lr"] = 0.002
+    _write_config(cfg, stages=stages)
+    assert CLI.main(train + ["--resume"]) == 3
+    assert "resume checkpoint was trained with another stage config; it differs in lr" in capsys.readouterr().err
+    assert _tree_digest(spot) == before
+
+
 def test_train_unknown_mode_flag(experiment):
     root, cfg = experiment
     assert CLI.main(["--config", str(cfg), "train", "--mode", "fancy", "--out", str(root)]) == 2
@@ -263,7 +300,12 @@ def test_eval_missing_checkpoint(experiment, tmp_path):
 
 @pytest.mark.parametrize(
     "edit, message",
-    [(lambda h: h.pop("bank"), "lacks 'bank'"), (lambda h: h["blocks"][0].pop("dtype"), "lacks 'dtype'")],
+    [
+        (lambda h: h.pop("bank"), "lacks 'bank'"),
+        (lambda h: h["blocks"][0].pop("dtype"), "lacks 'dtype'"),
+        (lambda h: rename_block(h, "param/dec1_b", "param/dec1_bias"), "param blocks do not match the model at ['dec1_b', 'dec1_bias']"),
+        (lambda h: rename_block(h, "opt/m/dec1_b", "opt/m/dec1_bias"), "opt/m blocks do not match the model at ['dec1_b', 'dec1_bias']"),
+    ],
 )
 def test_eval_malformed_checkpoint_header_exits_2(experiment, tmp_path, capsys, edit, message):
     root, _ = experiment

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import rewrite_checkpoint_header, run_chain, run_until_crash, tiny_stage_config
+from conftest import rename_block, rewrite_checkpoint_header, run_chain, run_until_crash, tiny_stage_config
 from ilseg import data as D
 from ilseg import losses as L
 from ilseg import model as M
@@ -196,6 +196,8 @@ def test_checkpoint_save_replaces_existing_file(full_run, tmp_path):
         (lambda h: h["blocks"][0].update(shape=[1, 2, 3]), "holds"),
         (lambda h: h["model_config"].update(depth="3"), "malformed header"),
         (lambda h: h["blocks"].pop(), "no bank/prototypes block"),
+        (lambda h: rename_block(h, "param/dec1_b", "param/dec1_bias"), "param blocks do not match the model"),
+        (lambda h: rename_block(h, "opt/m/dec1_b", "opt/m/dec1_g"), "opt/m blocks do not match the model"),
     ],
 )
 def test_checkpoint_malformed_header_rejected(full_run, tmp_path, edit, message):
@@ -459,20 +461,44 @@ def test_repeated_chain_is_byte_identical(full_run, tiny_dataset, tmp_path):
         assert (tmp_path / name).read_bytes() == (run_a / name).read_bytes()
 
 
-def test_crash_resume_matches_uninterrupted_run(tiny_dataset, tmp_path):
+@pytest.mark.parametrize("mode", ["full", "ft", "joint"])
+def test_crash_resume_matches_uninterrupted_run(tiny_dataset, tmp_path, mode):
     plain = tmp_path / "plain"
     bumpy = tmp_path / "bumpy"
-    run_chain(tiny_dataset, plain, stages=(1,), epochs=3)
+    if mode == "full":
+        runner, first = TR.run_stage, None
+        cfg = tiny_stage_config(1, tiny_dataset, epochs=3)
+    elif mode == "ft":
+        runner = TR.run_ft_baseline
+        first = runner(None, tiny_stage_config(1, tiny_dataset, mode="ft", epochs=1))
+        cfg = tiny_stage_config(2, tiny_dataset, mode="ft", epochs=3)
+    else:
+        runner, first = TR.run_joint, [tiny_dataset[f"stage_{t}"] for t in (1, 2, 3, 4)]
+        cfg = tiny_stage_config(4, tiny_dataset, mode="joint", new_categories=(1, 2, 3, 4, 5), epochs=3)
+    runner(first, cfg, run_dir=plain)
 
-    cfg = tiny_stage_config(1, tiny_dataset, epochs=3)
-    run_until_crash(TR.run_stage, None, cfg, bumpy, crash_after=2)
-    snap = TR.load_checkpoint(bumpy / "stage_1.epoch.ckpt")
+    run_until_crash(runner, first, cfg, bumpy, crash_after=2)
+    snap = TR.load_checkpoint(bumpy / f"stage_{cfg.stage}.epoch.ckpt")
     assert snap.completed_epochs == 2
-    TR.run_stage(None, cfg, run_dir=bumpy, resume_from=snap)
+    runner(first, cfg, run_dir=bumpy, resume_from=snap)
 
-    for name in ("stage_1.ckpt", "stage_1.log.jsonl"):
+    for name in (f"stage_{cfg.stage}.ckpt", f"stage_{cfg.stage}.log.jsonl"):
         assert (bumpy / name).read_bytes() == (plain / name).read_bytes()
-    assert not (bumpy / "stage_1.epoch.ckpt").exists()
+    assert not (bumpy / f"stage_{cfg.stage}.epoch.ckpt").exists()
+
+
+@pytest.mark.parametrize(
+    "changes, keys",
+    [(dict(seed=99, optimizer="sgd", lr=5e-2), "lr, optimizer, seed"), (dict(epochs=4), "epochs")],
+)
+def test_resume_rejects_a_snapshot_of_another_config(tiny_dataset, tmp_path, changes, keys):
+    cfg = tiny_stage_config(1, tiny_dataset, epochs=3, seed=11, optimizer="adam", lr=1e-3)
+    run_until_crash(TR.run_stage, None, cfg, tmp_path, crash_after=2)
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    snap = TR.load_checkpoint(tmp_path / "stage_1.epoch.ckpt")
+    with pytest.raises(TR.LineageError, match=f"resume checkpoint was trained with another stage config; it differs in {keys}$"):
+        TR.run_stage(None, dataclasses.replace(cfg, **changes), run_dir=tmp_path, resume_from=snap)
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
 
 # ---------------------------------------------------------------------------
