@@ -18,7 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from . import data as D
@@ -26,6 +26,7 @@ from . import metrics as ME
 from . import model as M
 from . import report as R
 from . import trainer as TR
+from .config import ConfigError, from_json
 from .model import ModelConfig
 
 __all__ = ["main", "console_entry", "ConfigError", "CategoryMismatchError", "load_experiment_config"]
@@ -35,10 +36,6 @@ EXIT_CONFIG = 2
 EXIT_LINEAGE = 3
 EXIT_CATEGORY = 4
 EXIT_EMPTY = 5
-
-
-class ConfigError(ValueError):
-    pass
 
 
 class CategoryMismatchError(ValueError):
@@ -52,75 +49,56 @@ def _normalize_mode(name: str) -> str:
     return mode
 
 
-_TOP_KEYS = {"seed", "out", "data", "model", "stages", "modes"}
-_STAGE_KEYS = {
-    "new_categories", "epochs", "batch_size", "lr", "lr_power", "optimizer", "sgd_momentum",
-    "lambda_kd", "lambda_mem", "lambda_same", "lambda_oppo", "ce_weight", "dice_weight",
-    "kd_temperature", "cosine_margin", "momentum_m0", "momentum_p", "bg_sample_cap", "augment",
-}
+@dataclass(frozen=True)
+class _Experiment:
+    """The experiment JSON. A stage entry holds the StageConfig keys that
+    the CLI does not set itself; every entry is checked on load, so a bad
+    value exits before anything is written."""
+
+    seed: int
+    stages: tuple[dict, ...]
+    modes: tuple[str, ...]
+    out: str | None = None
+    data: D.GeneratorConfig = field(default_factory=D.GeneratorConfig)
+    model: ModelConfig = field(default_factory=ModelConfig)
+
+    def __post_init__(self):
+        if not self.stages:
+            raise ValueError("stages must be a non-empty list")
+        object.__setattr__(self, "modes", tuple(_normalize_mode(m) for m in self.modes))
+        for i in range(len(self.stages)):
+            self.stage_config(i, "full", Path(), self.seed)
+
+    def stage_config(self, index: int, mode: str, root: Path, seed: int) -> TR.StageConfig:
+        """Stage `index + 1` of a `mode` chain under the experiment root."""
+        manifest = root / "data" / f"stage_{index + 1}" / "manifest.json"
+        return from_json(TR.StageConfig, self.stages[index], f"stages[{index}]",
+                         stage=index + 1, manifest=str(manifest), mode=mode, seed=seed, model=self.model)
 
 
-def _reject_unknown(d: dict, allowed: set, where: str) -> None:
-    unknown = sorted(set(d) - allowed)
-    if unknown:
-        raise ConfigError(f"{where}: unknown keys {unknown}")
-
-
-def load_experiment_config(path: Path | str) -> dict:
-    """Parse and validate the experiment JSON; unknown keys are errors."""
+def load_experiment_config(path: Path | str) -> _Experiment:
+    """Parse and check the experiment JSON: unknown keys, JSON types and
+    ranges are errors."""
     path = Path(path)
     try:
-        text = path.read_text()
+        doc = json.loads(path.read_text())
     except OSError as e:
         raise ConfigError(f"{path}: {e}") from None
-    try:
-        doc = json.loads(text)
     except json.JSONDecodeError as e:
         raise ConfigError(f"{path}: invalid JSON at line {e.lineno} column {e.colno}: {e.msg}") from None
-    if not isinstance(doc, dict):
-        raise ConfigError(f"{path}: top level must be an object")
-    _reject_unknown(doc, _TOP_KEYS, str(path))
-    for key in ("seed", "stages", "modes"):
-        if key not in doc:
-            raise ConfigError(f"{path}: missing required key {key!r}")
-    if not isinstance(doc["seed"], int):
-        raise ConfigError(f"{path}: seed must be an integer")
-    if not isinstance(doc["stages"], list) or not doc["stages"]:
-        raise ConfigError(f"{path}: stages must be a non-empty list")
-    for i, entry in enumerate(doc["stages"]):
-        if not isinstance(entry, dict):
-            raise ConfigError(f"{path}: stages[{i}] must be an object")
-        _reject_unknown(entry, _STAGE_KEYS, f"{path}: stages[{i}]")
-        if "new_categories" not in entry:
-            raise ConfigError(f"{path}: stages[{i}] missing new_categories")
-    if not isinstance(doc["modes"], list) or not all(isinstance(m, str) for m in doc["modes"]):
-        raise ConfigError(f"{path}: modes must be a list of strings")
-    doc["modes"] = [_normalize_mode(m) for m in doc["modes"]]
     try:
-        doc["data_config"] = D.GeneratorConfig.from_dict(doc.get("data", {}))
-        doc["model_config"] = ModelConfig.from_dict(doc.get("model", {}))
-    except (TypeError, ValueError) as e:
+        return from_json(_Experiment, doc, "")
+    except ConfigError as e:
         raise ConfigError(f"{path}: {e}") from None
-    return doc
 
 
-def _stage_config(doc: dict, index: int, mode: str, out_root: Path, seed: int) -> TR.StageConfig:
-    entry = dict(doc["stages"][index])
-    entry["new_categories"] = tuple(int(c) for c in entry["new_categories"])
-    manifest = out_root / "data" / f"stage_{index + 1}" / "manifest.json"
-    try:
-        return TR.StageConfig(stage=index + 1, manifest=str(manifest), mode=mode, seed=seed,
-                              model=doc["model_config"], **entry)
-    except (TypeError, ValueError) as e:
-        raise ConfigError(f"stages[{index}]: {e}") from None
-
-
-def _out_root(args, doc: dict) -> Path:
-    if getattr(args, "out", None):
-        return Path(args.out)
-    if doc.get("out"):
-        return Path(doc["out"])
-    raise ConfigError("no output directory: pass --out or set \"out\" in the config")
+def _experiment(args) -> tuple[_Experiment, int, Path]:
+    """The config, its seed unless `--seed` overrides it, and the experiment root."""
+    exp = load_experiment_config(args.config)
+    root = args.out or exp.out
+    if not root:
+        raise ConfigError("no output directory: pass --out or set \"out\" in the config")
+    return exp, args.seed if args.seed is not None else exp.seed, Path(root)
 
 
 def _say(args, msg: str) -> None:
@@ -133,29 +111,24 @@ def _say(args, msg: str) -> None:
 
 
 def cmd_gen_data(args) -> int:
-    doc = load_experiment_config(args.config)
-    seed = args.seed if args.seed is not None else doc["seed"]
-    root = _out_root(args, doc)
-    manifests = D.generate(doc["data_config"], seed, root / "data")
+    exp, seed, root = _experiment(args)
+    manifests = D.generate(exp.data, seed, root / "data")
     for name in sorted(manifests):
         _say(args, f"wrote {manifests[name]}")
     return EXIT_OK
 
 
-def _train_mode(doc: dict, mode: str, root: Path, seed: int, resume: bool, args) -> None:
+def _train_mode(exp: _Experiment, mode: str, root: Path, seed: int, resume: bool, args) -> None:
     run_dir = root / "runs" / mode
     run_dir.mkdir(parents=True, exist_ok=True)
-    n = len(doc["stages"])
+    n = len(exp.stages)
 
     if mode == "joint":
-        entry = dict(doc["stages"][0])
-        entry["new_categories"] = tuple(
-            int(c) for e in doc["stages"] for c in e["new_categories"]
-        )
+        # the first stage's keys over the categories of every stage
+        union = tuple(c for entry in exp.stages for c in entry["new_categories"])
         try:
-            jcfg = TR.StageConfig(stage=n, manifest=str(root / "data" / "stage_1" / "manifest.json"),
-                                  mode="joint", seed=seed, model=doc["model_config"], **entry)
-        except (TypeError, ValueError) as e:
+            jcfg = replace(exp.stage_config(0, mode, root, seed), stage=n, new_categories=union)
+        except ValueError as e:
             raise ConfigError(f"joint config: {e}") from None
         final = run_dir / f"stage_{n}.ckpt"
         if final.exists():
@@ -171,7 +144,7 @@ def _train_mode(doc: dict, mode: str, root: Path, seed: int, resume: bool, args)
     runner = TR.run_ft_baseline if mode == "ft" else TR.run_stage
     prev: TR.Checkpoint | None = None
     for i in range(n):
-        cfg = _stage_config(doc, i, mode, root, seed)
+        cfg = exp.stage_config(i, mode, root, seed)
         final = run_dir / f"stage_{cfg.stage}.ckpt"
         if final.exists():
             loaded = _load_complete(final, cfg)
@@ -211,16 +184,14 @@ def _maybe_resume(epoch_ckpt: Path, resume: bool) -> TR.Checkpoint | None:
 
 
 def cmd_train(args) -> int:
-    doc = load_experiment_config(args.config)
-    seed = args.seed if args.seed is not None else doc["seed"]
-    root = _out_root(args, doc)
-    modes = [_normalize_mode(args.mode)] if args.mode else doc["modes"]
-    for t in range(1, len(doc["stages"]) + 1):
+    exp, seed, root = _experiment(args)
+    modes = [_normalize_mode(args.mode)] if args.mode else exp.modes
+    for t in range(1, len(exp.stages) + 1):
         manifest = root / "data" / f"stage_{t}" / "manifest.json"
         if not manifest.exists():
             raise ConfigError(f"missing dataset manifest {manifest}; run gen-data first")
     for mode in modes:
-        _train_mode(doc, mode, root, seed, args.resume, args)
+        _train_mode(exp, mode, root, seed, args.resume, args)
     return EXIT_OK
 
 
@@ -292,9 +263,6 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_CONFIG
     try:
         return args.fn(args)
-    except (ConfigError, D.SampleFormatError, TR.CheckpointFormatError, OSError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_CONFIG
     except TR.LineageError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_LINEAGE
@@ -304,7 +272,7 @@ def main(argv: list[str] | None = None) -> int:
     except R.EmptyInputError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_EMPTY
-    except ValueError as e:
+    except (ValueError, OSError) as e:  # config, sample, checkpoint and other input errors
         print(f"error: {e}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -114,7 +114,7 @@ class GeneratorConfig:
     # differences between the source datasets of each stage
     stage_intensity_shift: tuple[float, ...] = (0.0, 0.03, -0.03, 0.05)
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.image_size < 16:
             raise ValueError(f"image_size must be >= 16, got {self.image_size}")
         if self.image_size % 8:
@@ -124,40 +124,18 @@ class GeneratorConfig:
                 raise ValueError(f"{name} must be >= 1")
         if self.noise_sigma < 0 or self.texture_amplitude < 0:
             raise ValueError("noise_sigma and texture_amplitude must be >= 0")
+        # past half the image most layouts leave the view, and rendering redraws ever longer
+        for name in ("jitter_px", "shape_jitter_px"):
+            if not 0 <= getattr(self, name) <= self.image_size / 2:
+                raise ValueError(f"{name} must be in [0, image_size / 2], got {getattr(self, name)}")
         if not (0 <= self.scale_jitter < 0.5):
             raise ValueError(f"scale_jitter must be in [0, 0.5), got {self.scale_jitter}")
+        if self.overlap_tolerance < 0:
+            raise ValueError(f"overlap_tolerance must be >= 0, got {self.overlap_tolerance}")
         if len(self.stage_intensity_shift) != len(STAGE_CATEGORIES):
             raise ValueError(f"stage_intensity_shift needs {len(STAGE_CATEGORIES)} entries")
         if self.max_attempts < 1:
             raise ValueError("max_attempts must be >= 1")
-
-    def to_dict(self) -> dict:
-        return {
-            "image_size": self.image_size,
-            "train_count": self.train_count,
-            "val_count": self.val_count,
-            "test_count": self.test_count,
-            "full_val_count": self.full_val_count,
-            "full_test_count": self.full_test_count,
-            "noise_sigma": self.noise_sigma,
-            "background_level": self.background_level,
-            "texture_amplitude": self.texture_amplitude,
-            "jitter_px": self.jitter_px,
-            "shape_jitter_px": self.shape_jitter_px,
-            "scale_jitter": self.scale_jitter,
-            "overlap_tolerance": self.overlap_tolerance,
-            "max_attempts": self.max_attempts,
-            "stage_intensity_shift": list(self.stage_intensity_shift),
-        }
-
-    @staticmethod
-    def from_dict(d: Mapping) -> "GeneratorConfig":
-        d = dict(d)
-        if "stage_intensity_shift" in d:
-            d["stage_intensity_shift"] = tuple(d["stage_intensity_shift"])
-        cfg = GeneratorConfig(**d)
-        cfg.validate()
-        return cfg
 
 
 @dataclass
@@ -233,7 +211,6 @@ def render_sample(
     redrawn (a fresh draw after `max_attempts` rejections, from the same
     stream, so determinism is preserved).
     """
-    config.validate()
     size = config.image_size
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(stage_tag, _SPLIT_TAG[split], index)))
     centres = _pixel_centres(size)
@@ -489,7 +466,6 @@ def generate(config: GeneratorConfig, seed: int, out_dir: Path | str) -> dict[st
     Sample files are written by one background thread while the next
     sample renders; each manifest is written once its samples are on disk.
     """
-    config.validate()
     out_dir = Path(out_dir)
     split_counts = {"train": config.train_count, "val": config.val_count, "test": config.test_count}
     all_ids = tuple(c.id for c in CATEGORIES)

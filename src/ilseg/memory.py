@@ -88,6 +88,8 @@ class MemoryBank:
             self.frozen = np.zeros(n, dtype=bool)
         if self.prototypes.shape != (n, self.feature_channels):
             raise ValueError(f"prototypes {self.prototypes.shape} do not match {n} categories x {self.feature_channels}")
+        if self.initialized.shape != (n,) or self.frozen.shape != (n,):
+            raise ValueError(f"initialized {self.initialized.shape} and frozen {self.frozen.shape} flags do not match {n} categories")
 
     @property
     def size(self) -> int:

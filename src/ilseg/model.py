@@ -32,9 +32,6 @@ class ModelConfig:
     head_init_std: float = 0.01
 
     def __post_init__(self) -> None:
-        self.validate()
-
-    def validate(self) -> None:
         if self.depth < 1:
             raise ValueError(f"depth must be >= 1, got {self.depth}")
         if self.base_channels < 1 or self.feature_channels < 1 or self.in_channels < 1:
@@ -43,22 +40,6 @@ class ModelConfig:
             raise ValueError(f"unknown head_init {self.head_init!r}")
         if self.head_init_std <= 0:
             raise ValueError(f"head_init_std must be positive, got {self.head_init_std}")
-
-    def to_dict(self) -> dict:
-        return {
-            "depth": self.depth,
-            "base_channels": self.base_channels,
-            "feature_channels": self.feature_channels,
-            "in_channels": self.in_channels,
-            "head_init": self.head_init,
-            "head_init_std": self.head_init_std,
-        }
-
-    @staticmethod
-    def from_dict(d: Mapping) -> "ModelConfig":
-        cfg = ModelConfig(**dict(d))
-        cfg.validate()
-        return cfg
 
 
 @dataclass
@@ -136,7 +117,6 @@ def build(config: ModelConfig, categories: Sequence[int], seed: int = 0) -> SegM
     Initialization is fully determined by `seed`: He-normal conv kernels,
     zero biases, unit/zero norm affines, and small-std head rows.
     """
-    config.validate()
     categories = tuple(int(c) for c in categories)
     if not categories:
         raise ValueError("build: at least one category is required")

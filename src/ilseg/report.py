@@ -14,9 +14,12 @@ Both outputs are deterministic: identical inputs give identical bytes.
 from __future__ import annotations
 
 import csv
+import math
 import re
 from dataclasses import dataclass
 from pathlib import Path
+
+from .metrics import CSV_COLUMNS
 
 __all__ = ["EmptyInputError", "EvalRow", "collect_rows", "write_combined_csv", "write_forgetting_svg", "build_report"]
 
@@ -45,26 +48,38 @@ class EvalRow:
     hd95: float
     degenerate: int
 
+    def __post_init__(self):
+        if not 0.0 <= self.dice <= 1.0:
+            raise ValueError(f"DC {self.dice} is outside [0, 1]")
+        if not 0.0 <= self.hd95 < math.inf:
+            raise ValueError(f"HD95 {self.hd95} is not a finite number >= 0")
+        if self.degenerate < 0:
+            raise ValueError(f"degenerate count {self.degenerate} is negative")
+
 
 def _parse_eval_csv(path: Path, mode: str, stage: int) -> list[EvalRow]:
+    """Scored category rows of one eval CSV. A malformed file raises
+    ValueError naming the line."""
+    try:
+        with path.open(newline="") as fh:
+            records = list(csv.reader(fh))
+    except (csv.Error, UnicodeDecodeError) as e:
+        raise ValueError(f"{path}: {e}") from None
+    if not records or tuple(records[0]) != CSV_COLUMNS:
+        raise ValueError(f"{path}: header must be {','.join(CSV_COLUMNS)}")
     rows = []
-    with path.open(newline="") as fh:
-        for rec in csv.DictReader(fh):
-            cat = rec["category"]
-            if cat == "mean":
-                continue
-            if rec["DC"] == "":  # absent category, never seen by this model
-                continue
-            rows.append(
-                EvalRow(
-                    mode=mode,
-                    stage=stage,
-                    category=cat,
-                    dice=float(rec["DC"]),
-                    hd95=float(rec["HD95"]),
-                    degenerate=int(rec["degenerate"]),
-                )
-            )
+    for line, rec in enumerate(records[1:], start=2):
+        if len(rec) != len(CSV_COLUMNS):
+            raise ValueError(f"{path}:{line}: expected {len(CSV_COLUMNS)} fields, got {len(rec)}")
+        _, cat, dc, hd95, degenerate = rec
+        if degenerate == "absent" and dc == hd95 == "":  # a category this model never saw
+            continue
+        try:
+            row = EvalRow(mode, stage, cat, float(dc), float(hd95), int(degenerate))
+        except ValueError as e:
+            raise ValueError(f"{path}:{line}: {e}") from None
+        if cat != "mean":
+            rows.append(row)
     return rows
 
 

@@ -48,6 +48,7 @@ from . import losses as L
 from . import memory as Mem
 from . import model as M
 from . import tensor as T
+from .config import from_json, to_json
 from .model import FrozenModel, ModelConfig, SegModel
 from .tensor import Tensor
 
@@ -117,9 +118,6 @@ class StageConfig:
     model: ModelConfig = field(default_factory=ModelConfig)
 
     def __post_init__(self):
-        object.__setattr__(self, "new_categories", tuple(int(c) for c in self.new_categories))
-
-    def validate(self) -> None:
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.stage < 1:
@@ -145,50 +143,13 @@ class StageConfig:
             raise ValueError("bg_sample_cap must be >= 1")
         if self.kd_temperature <= 0:
             raise ValueError("kd_temperature must be positive")
-        self.model.validate()
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
     def resolved_lr(self) -> float:
         if self.lr is not None:
             return self.lr
         return 3e-4 if self.stage == 1 else 1.5e-4
-
-    def to_dict(self) -> dict:
-        d = {
-            "stage": self.stage,
-            "new_categories": list(self.new_categories),
-            "manifest": str(self.manifest),
-            "mode": self.mode,
-            "epochs": self.epochs,
-            "batch_size": self.batch_size,
-            "lr": self.lr,
-            "lr_power": self.lr_power,
-            "optimizer": self.optimizer,
-            "sgd_momentum": self.sgd_momentum,
-            "lambda_kd": self.lambda_kd,
-            "lambda_mem": self.lambda_mem,
-            "lambda_same": self.lambda_same,
-            "lambda_oppo": self.lambda_oppo,
-            "ce_weight": self.ce_weight,
-            "dice_weight": self.dice_weight,
-            "kd_temperature": self.kd_temperature,
-            "cosine_margin": self.cosine_margin,
-            "momentum_m0": self.momentum_m0,
-            "momentum_p": self.momentum_p,
-            "bg_sample_cap": self.bg_sample_cap,
-            "augment": self.augment,
-            "seed": self.seed,
-            "model": self.model.to_dict(),
-        }
-        return d
-
-    @staticmethod
-    def from_dict(d: Mapping) -> "StageConfig":
-        d = dict(d)
-        d["new_categories"] = tuple(d["new_categories"])
-        d["model"] = ModelConfig.from_dict(d.get("model", {}))
-        cfg = StageConfig(**d)
-        cfg.validate()
-        return cfg
 
 
 def poly_lr(base: float, epoch: int, total_epochs: int, power: float = 0.9) -> float:
@@ -330,7 +291,7 @@ def save_checkpoint(ckpt: Checkpoint, path: Path | str) -> None:
         "mode": ckpt.mode,
         "registry": list(ckpt.registry),
         "categories": {str(k): v for k, v in ckpt.categories.items()},
-        "model_config": ckpt.model_config.to_dict(),
+        "model_config": to_json(ckpt.model_config),
         "stage_config": ckpt.stage_config,
         "seed": ckpt.seed,
         "completed_epochs": ckpt.completed_epochs,
@@ -461,6 +422,8 @@ def load_checkpoint(path: Path | str) -> Checkpoint:
         if nbytes != dtype.itemsize * math.prod(entry["shape"]):
             raise CheckpointFormatError(f"{path}: block {entry['name']} holds {nbytes} bytes, not shape {entry['shape']}")
         arrays[entry["name"]] = np.frombuffer(buf, dtype=dtype).reshape(entry["shape"]).copy()
+    if pos != len(payload):
+        raise CheckpointFormatError(f"{path}: {len(payload) - pos} bytes after the last block")
     params = {k[len("param/") :]: v for k, v in arrays.items() if k.startswith("param/")}
     opt_state = {
         "algo": header["optimizer"]["algo"],
@@ -470,7 +433,7 @@ def load_checkpoint(path: Path | str) -> Checkpoint:
     }
     bank_meta = header["bank"]
     try:
-        model_config = ModelConfig.from_dict(header["model_config"])
+        model_config = from_json(ModelConfig, header["model_config"], "model_config")
         bank = Mem.MemoryBank(
             feature_channels=bank_meta["feature_channels"],
             category_ids=[int(c) for c in bank_meta["category_ids"]],
@@ -573,7 +536,7 @@ def _category_names(cfg: StageConfig, prev: Checkpoint | None) -> dict[int, str]
 def _check_stage_config(cfg: StageConfig, saved: Mapping, where: str) -> None:
     """Raise LineageError unless the `stage_config` of a checkpoint is
     `cfg`'s. The manifest is left out: the header only echoes its path."""
-    want, missing = cfg.to_dict(), object()
+    want, missing = to_json(cfg), object()
     keys = [k for k in sorted(want.keys() | saved.keys()) if k != "manifest" and want.get(k, missing) != saved.get(k, missing)]
     if keys:
         raise LineageError(f"{where} was trained with another stage config; it differs in {', '.join(keys)}")
@@ -618,7 +581,7 @@ def _epoch_ckpt(
         seed=cfg.seed,
         completed_epochs=epoch_done,
         total_epochs=cfg.epochs,
-        stage_config=cfg.to_dict(),
+        stage_config=to_json(cfg),
         log_path=log_path,
     )
 
@@ -657,7 +620,6 @@ def run_stage(
     given, writes a JSONL iteration log and a per-epoch checkpoint that
     `resume_from` can restart.
     """
-    cfg.validate()
     if cfg.mode not in ("full", "womem"):
         raise ValueError(f"run_stage handles modes full/womem, got {cfg.mode!r}; use the dedicated baseline entry points")
     return _train(cfg, *_chain_stage(prev, cfg), run_dir, resume_from)
@@ -675,7 +637,6 @@ def run_ft_baseline(
     actively forgotten. No distillation, no memory bank; the bank rides
     along untouched.
     """
-    cfg.validate()
     if cfg.mode != "ft":
         raise ValueError(f"run_ft_baseline requires mode 'ft', got {cfg.mode!r}")
     return _train(cfg, *_chain_stage(prev, cfg), run_dir, resume_from)
@@ -693,7 +654,6 @@ def run_joint(
     a merged-background loss over its own annotated set. Conflicting
     category names across manifests are rejected.
     """
-    cfg.validate()
     if cfg.mode != "joint":
         raise ValueError(f"run_joint requires mode 'joint', got {cfg.mode!r}")
     if not manifests:

@@ -9,6 +9,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import rename_block, rewrite_checkpoint_header, run_until_crash
 from ilseg import cli as CLI
@@ -112,6 +114,46 @@ def test_config_top_level_must_be_object(tmp_path):
     cfg = tmp_path / "c.json"
     cfg.write_text("[]")
     assert CLI.main(["--config", str(cfg), "gen-data", "--out", str(tmp_path / "o")]) == 2
+
+
+def _first_stage(**entry):
+    stages = _config_doc()["stages"]
+    stages[0].update(entry)
+    return {"stages": stages}
+
+
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        (_first_stage(epochs="3"), 'stages[0].epochs must be an integer, got "3"'),
+        (_first_stage(epochs=1.5), "stages[0].epochs must be an integer, got 1.5"),
+        (_first_stage(epochs=True), "stages[0].epochs must be an integer, got true"),
+        (_first_stage(batch_size=1.0), "stages[0].batch_size must be an integer, got 1.0"),
+        (_first_stage(lr="x"), 'stages[0].lr must be a finite number or null, got "x"'),
+        (_first_stage(lambda_kd=None), "stages[0].lambda_kd must be a finite number, got null"),
+        (_first_stage(kd_temperature="x"), 'stages[0].kd_temperature must be a finite number, got "x"'),
+        (_first_stage(new_categories=1), "stages[0].new_categories must be a list of integers, got 1"),
+        (_first_stage(new_categories=[1.5]), "stages[0].new_categories[0] must be an integer, got 1.5"),
+        (_first_stage(bg_sample_cap=2.5), "stages[0].bg_sample_cap must be an integer, got 2.5"),
+        (_first_stage(augment="false"), 'stages[0].augment must be true or false, got "false"'),
+        ({"model": {"feature_channels": True}}, "model.feature_channels must be an integer, got true"),
+        ({"model": {"depth": 1.0}}, "model.depth must be an integer, got 1.0"),
+        ({"data": dict(BASE_DATA, image_size=16.0)}, "data.image_size must be an integer, got 16.0"),
+        ({"data": dict(BASE_DATA, train_count=2.5)}, "data.train_count must be an integer, got 2.5"),
+        ({"data": dict(BASE_DATA, jitter_px=-100)}, "data: jitter_px must be in [0, image_size / 2], got -100"),
+        ({"data": [["image_size", 32]]}, 'data must be an object, got [["image_size", 32]]'),
+        ({"out": 5}, "out must be a string or null, got 5"),
+        ({"seed": True}, "seed must be an integer, got true"),
+    ],
+)
+def test_mistyped_config_value_exits_2_before_writing(tmp_path, capsys, overrides, message):
+    cfg = _write_config(tmp_path / "c.json", **overrides)
+    out = tmp_path / "o"
+    for command in ("gen-data", "train"):
+        assert CLI.main(["--config", str(cfg), command, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {cfg}: {message}\n"
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -305,6 +347,7 @@ def test_eval_missing_checkpoint(experiment, tmp_path):
         (lambda h: h["blocks"][0].pop("dtype"), "lacks 'dtype'"),
         (lambda h: rename_block(h, "param/dec1_b", "param/dec1_bias"), "param blocks do not match the model at ['dec1_b', 'dec1_bias']"),
         (lambda h: rename_block(h, "opt/m/dec1_b", "opt/m/dec1_bias"), "opt/m blocks do not match the model at ['dec1_b', 'dec1_bias']"),
+        (lambda h: h["bank"].update(initialized=[True, True]), "initialized (2,) and frozen (1,) flags do not match 1 categories"),
     ],
 )
 def test_eval_malformed_checkpoint_header_exits_2(experiment, tmp_path, capsys, edit, message):
@@ -432,3 +475,142 @@ def test_gen_data_non_list_modes_exits_2(tmp_path, capsys):
     assert err.startswith("error: ") and "modes must be a list of strings" in err
     assert "Traceback" not in err
     assert not (tmp_path / "x").exists()
+
+
+_EVAL_CSVS = {
+    "full/stage_1.csv": "stage,category,DC,HD95,degenerate\n1,lobe,0.912345,1.414214,0\n1,disc,,,absent\n"
+                        "1,mean,0.912345,1.414214,0\n",
+    "full/stage_2.csv": "stage,category,DC,HD95,degenerate\n2,lobe,0.800000,2.000000,1\n2,disc,0.500000,3.000000,0\n"
+                        "2,mean,0.650000,2.500000,1\n",
+    "ft/stage_2.csv": "stage,category,DC,HD95,degenerate\n2,lobe,0.000000,45.254834,2\n2,disc,0.700000,1.000000,0\n"
+                      "2,mean,0.350000,23.127417,2\n",
+}
+
+
+def _write_evals(root, texts):
+    for rel, text in texts.items():
+        (root / rel).parent.mkdir(parents=True, exist_ok=True)
+        (root / rel).write_bytes(text if isinstance(text, bytes) else text.encode())
+    return root
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda t: t.replace("DC,HD95", "HD95"), "header must be stage,category,DC,HD95,degenerate"),
+        (lambda t: t.replace("1,lobe,0.912345,1.414214,0", "1,lobe,0.912345"), "stage_1.csv:2: expected 5 fields, got 3"),
+        (lambda t: t.replace("0.912345,1.414214,0\n1,disc", "7.5,1.414214,0\n1,disc"), "stage_1.csv:2: DC 7.5 is outside [0, 1]"),
+        (lambda t: t.replace(",1.414214,0\n1,disc", ",-1,0\n1,disc"), "stage_1.csv:2: HD95 -1.0 is not a finite number >= 0"),
+        (lambda t: t.replace(",1.414214,0\n1,disc", ",nan,0\n1,disc"), "stage_1.csv:2: HD95 nan is not a finite number >= 0"),
+        (lambda t: t.replace("1.414214,0\n1,disc", "1.414214,-1\n1,disc"), "stage_1.csv:2: degenerate count -1 is negative"),
+        (lambda t: t.replace("1.414214,0\n1,disc", "1.414214,x\n1,disc"), "stage_1.csv:2: invalid literal for int() with base 10: 'x'"),
+        (lambda t: t.replace("1,disc,,,absent", "1,disc,,,3"), "stage_1.csv:3: could not convert string to float: ''"),
+        (lambda t: t.replace("1,disc,,,absent", "1,disc,x,1,absent"), "stage_1.csv:3: could not convert string to float: 'x'"),
+    ],
+)
+def test_report_malformed_eval_csv_exits_2(tmp_path, capsys, edit, message):
+    evals = _write_evals(tmp_path / "evals", {"full/stage_1.csv": edit(_EVAL_CSVS["full/stage_1.csv"])})
+    assert CLI.main(["report", "--runs", str(evals), "--out", str(tmp_path / "r")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "r").exists()
+
+
+# fuzzing: any document or eval tree ends in a documented exit code, never an exception
+
+_FUZZ_DOC = {
+    "seed": 1,
+    "data": {"image_size": 16, "train_count": 1, "val_count": 1, "test_count": 1, "full_val_count": 1, "full_test_count": 1},
+    "model": {"depth": 1, "base_channels": 2, "feature_channels": 2},
+    "modes": ["full", "woMem", "ft", "joint"],
+    "stages": [{"new_categories": [1], "epochs": 1, "lr": 0.001}, {"new_categories": [2], "epochs": 1, "lambda_kd": 2}],
+}
+# Type swaps and extremes. Positive integers stay small: a valid large
+# count or size asks for that much work, which is not an error.
+_MUTANTS = st.sampled_from([
+    None, True, False, "", "x", "3", "false", "full", 0, 1, 2, -1, -(2**63), 0.5, 1.0, 2.5, 16.0,
+    1e308, -1e308, float("nan"), float("inf"), [], [1], [1.5], [1, 1], ["full"], {}, {"x": 1},
+])
+_EXIT_CODES = (0, 2, 3, 4, 5)
+
+
+def _slots(node):
+    """(container, key) of every value inside a JSON document."""
+    out = []
+    for key, value in list(node.items() if isinstance(node, dict) else enumerate(node)):
+        out.append((node, key))
+        if isinstance(value, (dict, list)):
+            out.extend(_slots(value))
+    return out
+
+
+def _mutate(data, doc):
+    for _ in range(data.draw(st.integers(1, 3), label="edits")):
+        slots = _slots(doc)
+        if not slots:
+            break
+        node, key = data.draw(st.sampled_from(slots), label="slot")
+        if data.draw(st.booleans(), label="delete"):
+            del node[key]
+        else:
+            node[key] = data.draw(_MUTANTS, label="value")
+    return doc
+
+
+@settings(deadline=None, max_examples=40)
+@given(data=st.data())
+def test_config_fuzz_exits_with_a_documented_code(tmp_path_factory, data):
+    root = tmp_path_factory.mktemp("fuzzcfg")
+    doc = _mutate(data, json.loads(json.dumps(_FUZZ_DOC)))
+    cfg = root / "c.json"
+    cfg.write_text(json.dumps(doc))
+    out = root / "o"
+    argv = ["--quiet", "--config", str(cfg)]
+    try:
+        CLI.load_experiment_config(cfg)
+    except CLI.ConfigError:
+        assert CLI.main(argv + ["gen-data", "--out", str(out)]) == 2
+        assert not out.exists()
+        return
+    if not (isinstance(doc.get("data"), dict) and doc["data"].keys() >= _FUZZ_DOC["data"].keys()):
+        return  # a deleted size or count falls back to the full-size default: valid, only slow
+    for command in ("gen-data", "train"):
+        rc = CLI.main(argv + [command, "--out", str(out)])
+        assert rc in _EXIT_CODES
+        if rc:
+            break
+
+
+_CELLS = st.sampled_from(["", "x", "nan", "inf", "-1", "7.5", "0.5", "1e400", "absent", "mean", "3", "-0", " 1", "\0"])
+
+
+@settings(deadline=None, max_examples=60)
+@given(data=st.data())
+def test_report_fuzz_exits_with_a_documented_code(tmp_path_factory, data):
+    texts = dict(_EVAL_CSVS)
+    for _ in range(data.draw(st.integers(0, 3), label="edits")):
+        rel = data.draw(st.sampled_from(sorted(texts)), label="file")
+        rows = [line.split(",") for line in texts[rel].splitlines()]
+        if not rows:
+            continue
+        i = data.draw(st.integers(0, len(rows) - 1), label="row")
+        op = data.draw(st.sampled_from(["cell", "drop row", "drop column", "extra cell"]), label="op")
+        if op == "drop row":
+            del rows[i]
+        elif op == "extra cell":
+            rows[i].append(data.draw(_CELLS, label="cell"))
+        elif rows[i]:
+            j = data.draw(st.integers(0, len(rows[i]) - 1), label="column")
+            if op == "cell":
+                rows[i][j] = data.draw(_CELLS, label="cell")
+            else:
+                for row in rows:
+                    del row[j : j + 1]
+        texts[rel] = "".join(",".join(row) + "\n" for row in rows)
+    raw = data.draw(st.none() | st.binary(max_size=24), label="raw file")
+    if raw is not None:
+        texts["full/stage_1.csv"] = raw
+    root = tmp_path_factory.mktemp("fuzzeval")
+    evals = _write_evals(root / "evals", texts)
+    assert CLI.main(["--quiet", "report", "--runs", str(evals), "--out", str(root / "r")]) in _EXIT_CODES

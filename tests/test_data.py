@@ -255,11 +255,16 @@ def test_cli_import_loads_no_executor_or_queue_modules():
 
 def test_generator_config_validation():
     with pytest.raises(ValueError):
-        D.GeneratorConfig(image_size=12).validate()
+        D.GeneratorConfig(image_size=12)
     with pytest.raises(ValueError):
-        D.GeneratorConfig(image_size=20).validate()
+        D.GeneratorConfig(image_size=20)
     with pytest.raises(ValueError):
-        D.GeneratorConfig(train_count=0).validate()
+        D.GeneratorConfig(train_count=0)
+    # numpy rejects a negative jitter, a negative tolerance rejects every layout,
+    # and past half the image a jitter redraws for about half a second a sample
+    for bad in (dict(jitter_px=-1.0), dict(jitter_px=64.5), dict(shape_jitter_px=-0.5), dict(overlap_tolerance=-0.1)):
+        with pytest.raises(ValueError, match=next(iter(bad))):
+            D.GeneratorConfig(**bad)
 
 
 # manifests

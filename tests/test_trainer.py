@@ -1,6 +1,7 @@
 """Stage trainer: configs, checkpoint format, logs, lineage, resume."""
 
 import dataclasses
+import hashlib
 import json
 import shutil
 import struct
@@ -14,6 +15,7 @@ from ilseg import data as D
 from ilseg import losses as L
 from ilseg import model as M
 from ilseg import trainer as TR
+from ilseg.config import from_json, to_json
 
 
 def _read_log(path):
@@ -76,13 +78,13 @@ def test_poly_lr_epoch_range():
         ({"optimizer": "rmsprop"}, "adam or sgd"),
         ({"bg_sample_cap": 0}, "bg_sample_cap"),
         ({"kd_temperature": 0.0}, "kd_temperature"),
+        ({"seed": -1}, "seed must be >= 0"),
     ],
 )
 def test_stage_config_validation(tiny_dataset, overrides, match):
     stage = overrides.pop("stage", 1)
-    cfg = dataclasses.replace(tiny_stage_config(1, tiny_dataset), stage=stage, **overrides)
     with pytest.raises(ValueError, match=match):
-        cfg.validate()
+        dataclasses.replace(tiny_stage_config(1, tiny_dataset), stage=stage, **overrides)
 
 
 def test_resolved_lr_defaults():
@@ -92,9 +94,24 @@ def test_resolved_lr_defaults():
     assert TR.StageConfig(stage=3, lr=1e-3, **base).resolved_lr() == 1e-3
 
 
+# the header echo of a stage read from JSON; the resave and resume checks compare these bytes
+_ECHO = (
+    '{"augment": false, "batch_size": 2, "bg_sample_cap": 1024, "ce_weight": 1.0, "cosine_margin": 0.0, '
+    '"dice_weight": 1.0, "epochs": 40, "kd_temperature": 1.0, "lambda_kd": 2, "lambda_mem": 0.1, '
+    '"lambda_oppo": 0.1, "lambda_same": 0.1, "lr": null, "lr_power": 0.9, "manifest": "m.json", "mode": "full", '
+    '"model": {"base_channels": 16, "depth": 3, "feature_channels": 32, "head_init": "random", '
+    '"head_init_std": 0.01, "in_channels": 1}, "momentum_m0": 0.9, "momentum_p": 0.9, "new_categories": [2, 3], '
+    '"optimizer": "adam", "seed": 0, "sgd_momentum": 0.9, "stage": 2}'
+)
+
+
 def test_stage_config_dict_round_trip(tiny_dataset):
     cfg = tiny_stage_config(2, tiny_dataset, lambda_kd=2.0, augment=True, optimizer="sgd")
-    assert TR.StageConfig.from_dict(cfg.to_dict()) == cfg
+    assert from_json(TR.StageConfig, to_json(cfg), "") == cfg
+    read = from_json(TR.StageConfig, {"new_categories": [2, 3], "lambda_kd": 2}, "stages[1]",
+                     stage=2, manifest="m.json", mode="full", seed=0, model=M.ModelConfig())
+    assert json.dumps(to_json(read), sort_keys=True) == _ECHO
+    assert from_json(TR.StageConfig, json.loads(_ECHO), "") == read
 
 
 # ---------------------------------------------------------------------------
@@ -198,12 +215,26 @@ def test_checkpoint_save_replaces_existing_file(full_run, tmp_path):
         (lambda h: h["blocks"].pop(), "no bank/prototypes block"),
         (lambda h: rename_block(h, "param/dec1_b", "param/dec1_bias"), "param blocks do not match the model"),
         (lambda h: rename_block(h, "opt/m/dec1_b", "opt/m/dec1_g"), "opt/m blocks do not match the model"),
+        (lambda h: h["bank"].update(initialized=[True, True]), r"flags do not match 1 categories"),
+        (lambda h: h["bank"].update(frozen=[]), r"frozen \(0,\) flags do not match 1 categories"),
     ],
 )
 def test_checkpoint_malformed_header_rejected(full_run, tmp_path, edit, message):
     run_dir, _ = full_run
     bad = rewrite_checkpoint_header(run_dir / "stage_1.ckpt", tmp_path / "bad.ckpt", edit)
     with pytest.raises(TR.CheckpointFormatError, match=message):
+        TR.load_checkpoint(bad)
+
+
+def test_checkpoint_trailing_bytes_rejected(full_run, tmp_path):
+    run_dir, _ = full_run
+    raw = (run_dir / "stage_2.ckpt").read_bytes() + bytes(4000)
+    _, head_len = struct.unpack_from("<II", raw, 8)
+    padded = tmp_path / "padded.ckpt"
+    padded.write_bytes(raw)
+    digest = hashlib.sha256(raw[16 + head_len :]).hexdigest()
+    bad = rewrite_checkpoint_header(padded, tmp_path / "bad.ckpt", lambda h: h.update(checksum=digest))
+    with pytest.raises(TR.CheckpointFormatError, match="4000 bytes after the last block"):
         TR.load_checkpoint(bad)
 
 
